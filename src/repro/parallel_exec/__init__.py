@@ -8,10 +8,12 @@ persistent worker processes:
 * :mod:`~repro.parallel_exec.pool` — worker lifecycle, task-kind
   registry, per-worker task queues, shared result queue, heartbeat
   pings.
-* :mod:`~repro.parallel_exec.scheduler` — chunked distribution, one
-  chunk in flight per worker, crash/timeout retry with exponential
-  backoff + jitter, per-worker circuit breaker, poisoned-chunk
-  quarantine, task errors fail fast by default.
+* :mod:`~repro.parallel_exec.dispatch` — the one dispatch core every
+  pool caller runs on: one span in flight per worker, crash/timeout
+  retry with exponential backoff + jitter, per-worker circuit breaker,
+  poisoned-span quarantine, task errors fail fast by default.
+* :mod:`~repro.parallel_exec.scheduler` — the batch front ends over
+  that core: fixed chunks, and cost-planned work-stealing spans.
 * :mod:`~repro.parallel_exec.hardening` — the :class:`RetryPolicy`
   knobs, quarantine log and pool statistics backing the above.
 * :mod:`~repro.parallel_exec.checkpoint` — JSON manifest
@@ -33,6 +35,7 @@ from .checkpoint import (
     SpanCheckpoint,
     chunk_fingerprint,
 )
+from .dispatch import Hooks, SpanDeque, drive
 from .hardening import (
     PoolStats,
     QuarantinedChunk,
@@ -44,7 +47,6 @@ from .results import (
     ChunkQuarantinedError,
     ChunkTimeoutError,
     ParallelExecError,
-    ResultAssembler,
     SpanAssembler,
     TaskError,
     WorkerCrashError,
@@ -52,7 +54,6 @@ from .results import (
 from .scheduler import (
     ChunkRunReport,
     ChunkView,
-    SpanDeque,
     SpanRunReport,
     chunked,
     plan_spans,
@@ -67,7 +68,8 @@ __all__ = [
     "WorkerPool",
     "default_worker_count",
     "register_task_kind",
-    "ResultAssembler",
+    "drive",
+    "Hooks",
     "SpanAssembler",
     "ParallelExecError",
     "TaskError",

@@ -1,23 +1,24 @@
-"""Checkpoint/resume for chunked batch runs (JSON manifest on disk).
+"""Checkpoint/resume for batch runs (JSON manifest on disk).
 
 A killed batch run (OOM, preemption, ^C) should not redo finished work.
-The scheduler writes a manifest as chunks complete; a rerun over the
-*same* chunk list loads the manifest, pre-fills the finished chunks and
-only dispatches the rest — producing byte-identical, order-preserving
-results.
+The scheduler records each unit in a manifest as it completes; a rerun
+over the *same* batch loads the manifest, pre-fills the finished units
+and only dispatches the rest — producing byte-identical,
+order-preserving results.  Chunk runs write chunk-keyed manifests
+(:class:`BatchCheckpoint`, version 1), span runs span-keyed ones
+(:class:`SpanCheckpoint`, version 2).
 
 Safety properties:
 
 * **Atomic writes** — the manifest is rewritten to a temp file and
   ``os.replace``-d into place, so a kill mid-write leaves the previous
   consistent manifest, never a torn one.
-* **Fingerprinted inputs** — the manifest stores a SHA-256 fingerprint
-  per chunk payload; a resume whose chunk list does not match *exactly*
-  (kind, count and every fingerprint) starts fresh instead of silently
-  splicing stale results into a different batch.
-* **Typed values** — chunk results are lists of ``bytes`` (digests) or
-  JSON-native values; each element is tagged on disk (``{"b": hex}`` vs
-  ``{"j": value}``) so round-trips are exact.
+* **Fingerprinted inputs** — a resume whose kind, unit count or input
+  fingerprints differ starts fresh instead of silently splicing stale
+  results into a different batch.
+* **Typed values** — results are ``bytes`` (digests) or JSON-native
+  values; each is tagged on disk (``{"b": hex}`` vs ``{"j": value}``)
+  so round-trips are exact.
 
 The manifest is written by the parent process only — workers never see
 it — so there is no write concurrency to manage.
@@ -117,43 +118,39 @@ class BatchCheckpoint:
         raises :class:`ManifestVersionError` instead of silently
         discarding completed work.
         """
-        fingerprints = [chunk_fingerprint(chunk) for chunk in chunks]
-        existing = self._read()
-        self._check_version(existing)
-        if (existing is not None
-                and existing.get("version") == MANIFEST_VERSION
-                and existing.get("kind") == kind
-                and existing.get("fingerprints") == fingerprints):
-            self._manifest = existing
-            completed: Dict[int, List[Any]] = {}
-            for key, values in existing.get("completed", {}).items():
-                index = int(key)
-                if 0 <= index < len(chunks):
-                    completed[index] = _decode_values(values)
-            return completed
-        self._manifest = {
+        completed = self._open({
             "version": MANIFEST_VERSION,
             "kind": kind,
             "num_chunks": len(chunks),
-            "fingerprints": fingerprints,
-            "completed": {},
-        }
-        self._write()
-        return {}
+            "fingerprints": [chunk_fingerprint(chunk) for chunk in chunks],
+        })
+        return {int(key): values for key, values in completed.items()
+                if 0 <= int(key) < len(chunks)}
 
     def record(self, chunk_index: int, values: List[Any]) -> None:
         """Persist one finished chunk (atomic rewrite)."""
+        self._record(str(chunk_index), values)
+
+    def _open(self, header: Dict[str, Any]) -> Dict[str, List[Any]]:
+        """Resume the on-disk manifest if it matches ``header`` exactly
+        (returning its completed entries), else start a fresh one."""
+        existing = self._read()
+        self._check_version(existing)
+        if existing is not None and all(
+                existing.get(name) == value
+                for name, value in header.items()):
+            self._manifest = existing
+            return {key: _decode_values(values) for key, values
+                    in existing.get("completed", {}).items()}
+        self._manifest = dict(header, completed={})
+        self._write()
+        return {}
+
+    def _record(self, key: str, values: List[Any]) -> None:
         if self._manifest is None:
             raise RuntimeError("record() before begin()")
-        self._manifest["completed"][str(chunk_index)] = \
-            _encode_values(values)
+        self._manifest["completed"][key] = _encode_values(values)
         self._write()
-
-    @property
-    def completed_count(self) -> int:
-        if self._manifest is None:
-            return 0
-        return len(self._manifest["completed"])
 
     def _read(self) -> Optional[Dict[str, Any]]:
         try:
@@ -189,35 +186,20 @@ class SpanCheckpoint(BatchCheckpoint):
 
     def begin(self, kind: str, fingerprint: str,  # type: ignore[override]
               total: int) -> List[tuple]:
-        existing = self._read()
-        self._check_version(existing)
-        if (existing is not None
-                and existing.get("version") == SPAN_MANIFEST_VERSION
-                and existing.get("kind") == kind
-                and existing.get("fingerprint") == fingerprint
-                and existing.get("total") == total):
-            self._manifest = existing
-            completed = []
-            for key, values in existing.get("completed", {}).items():
-                start, stop = (int(part) for part in key.split(":"))
-                if 0 <= start <= stop <= total:
-                    completed.append((start, stop, _decode_values(values)))
-            return completed
-        self._manifest = {
+        completed = self._open({
             "version": SPAN_MANIFEST_VERSION,
             "kind": kind,
             "fingerprint": fingerprint,
             "total": total,
-            "completed": {},
-        }
-        self._write()
-        return []
+        })
+        spans = []
+        for key, values in completed.items():
+            start, stop = (int(part) for part in key.split(":"))
+            if 0 <= start <= stop <= total:
+                spans.append((start, stop, values))
+        return spans
 
     def record(self, start: int, stop: int,  # type: ignore[override]
                values: List[Any]) -> None:
         """Persist one finished span (atomic rewrite)."""
-        if self._manifest is None:
-            raise RuntimeError("record() before begin()")
-        self._manifest["completed"][f"{start}:{stop}"] = \
-            _encode_values(values)
-        self._write()
+        self._record(f"{start}:{stop}", values)

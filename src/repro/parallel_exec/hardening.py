@@ -7,9 +7,10 @@ holds the pieces that turn it into a production-shaped failure model:
 * :class:`RetryPolicy` — *how* to retry: exponential backoff with
   jitter between re-dispatches, whether deterministic task errors are
   retried at all, and when to stop trying.
-* circuit breaking (:class:`WorkerLedger`) — a worker that fails ``K``
-  chunks *consecutively* is retired and respawned even if its process is
-  still alive; one success resets the count.
+* circuit breaking (:class:`WorkerLedger`, one per
+  :class:`~repro.parallel_exec.pool.WorkerPool`) — a worker that fails
+  ``K`` chunks *consecutively* is retired and respawned even if its
+  process is still alive; one success resets the count.
 * :class:`QuarantineLog` — a chunk that fails on ``N`` distinct workers
   is *poisoned*: the input, not the worker, is the problem.  Quarantined
   chunks are reported (with every failure reason) instead of being
@@ -17,8 +18,9 @@ holds the pieces that turn it into a production-shaped failure model:
 * :class:`PoolStats` — counters for everything the scheduler did, so a
   run can be audited after the fact (`repro batch --quarantine-report`).
 
-All of this is plain bookkeeping: the scheduler drives it, the policy
-never touches processes itself.
+All of this is plain bookkeeping: the dispatch core
+(:mod:`~repro.parallel_exec.dispatch`) drives it, the policy never
+touches processes itself.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..observability import metrics as _metrics
+from .hardening import RetryPolicy, WorkerLedger
 
 #: kind -> callable(payload) -> list of results.  Populated at import
 #: time by task-owning modules (and by tests before they start a pool).
@@ -216,6 +217,10 @@ class WorkerPool:
         self.result_queue = self._ctx.Queue()
         self._next_id = 0
         self.workers: Dict[int, _Worker] = {}
+        #: Consecutive failures per worker, behind the circuit breaker.
+        #: They live with the pool, so a persistent pool keeps counting
+        #: across runs; each run's policy sets the trip threshold.
+        self.ledger = WorkerLedger(RetryPolicy.breaker_threshold)
         for _ in range(num_workers):
             self._spawn()
 
@@ -249,6 +254,7 @@ class WorkerPool:
         else:
             worker.kill()
         del self.workers[worker.worker_id]
+        self.ledger.forget(worker.worker_id)
         return task, self._spawn()
 
     def rolling_restart(self) -> int:

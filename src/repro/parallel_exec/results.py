@@ -1,10 +1,8 @@
-"""Deterministic result assembly for chunked parallel work.
+"""Deterministic result assembly for parallel work, and its errors.
 
-Workers finish chunks in whatever order the scheduler and the OS decide;
-the assembler restores the submission order so a parallel run returns
-exactly what the serial run would.  Each chunk's payload is a *list* of
-per-item results; :meth:`ResultAssembler.assemble` concatenates them by
-chunk index.
+Workers finish work units in whatever order the scheduler and the OS
+decide; the assembler restores the submission order so a parallel run
+returns exactly what the serial run would.
 """
 
 from __future__ import annotations
@@ -65,87 +63,19 @@ class ChunkQuarantinedError(ParallelExecError):
         self.chunk_indices = sorted(chunk_indices)
 
 
-class ResultAssembler:
-    """Collects per-chunk results and restores submission order."""
-
-    def __init__(self, num_chunks: int) -> None:
-        self._slots: List[Optional[List[Any]]] = [None] * num_chunks
-        self._filled = [False] * num_chunks
-        self._remaining = num_chunks
-        self._failed: List[int] = []
-
-    @property
-    def complete(self) -> bool:
-        return self._remaining == 0
-
-    @property
-    def failed(self) -> List[int]:
-        """Indices of chunks resolved as quarantined (no results)."""
-        return list(self._failed)
-
-    def add(self, chunk_index: int, values: List[Any]) -> None:
-        """Record one chunk's results (duplicate delivery is ignored).
-
-        A duplicate can arrive when a timed-out chunk was requeued but
-        the original worker's result was already in flight; the first
-        delivery wins, keeping results deterministic.
-        """
-        if self._filled[chunk_index]:
-            return
-        self._slots[chunk_index] = values
-        self._filled[chunk_index] = True
-        self._remaining -= 1
-
-    def add_failed(self, chunk_index: int) -> None:
-        """Resolve a chunk as quarantined: its slot stays empty, the run
-        can still complete, and :meth:`assemble` will refuse to pretend
-        the results are whole."""
-        if self._filled[chunk_index]:
-            return
-        self._filled[chunk_index] = True
-        self._failed.append(chunk_index)
-        self._remaining -= 1
-
-    def has(self, chunk_index: int) -> bool:
-        return self._filled[chunk_index]
-
-    def assemble(self) -> List[Any]:
-        """All item results, concatenated in original chunk order."""
-        if self._remaining:
-            raise ParallelExecError(
-                f"{self._remaining} chunk(s) still outstanding"
-            )
-        if self._failed:
-            raise ChunkQuarantinedError(self._failed)
-        out: List[Any] = []
-        for values in self._slots:
-            out.extend(values)  # type: ignore[arg-type]
-        return out
-
-    def partial(self) -> List[Optional[List[Any]]]:
-        """Per-chunk results in submission order; None where quarantined."""
-        if self._remaining:
-            raise ParallelExecError(
-                f"{self._remaining} chunk(s) still outstanding"
-            )
-        return list(self._slots)
-
-
 class SpanAssembler:
-    """Per-*item* result slots for span-scheduled (work-stealing) runs.
+    """Per-*item* result slots, filled by ``[start, stop)`` ranges.
 
-    The chunk assembler above keys on chunk indices, which are fixed
-    before the run starts.  Spans are not: work stealing splits them
-    while the run executes, and a checkpoint resume may cover arbitrary
-    item ranges from an earlier run.  So this assembler tracks items,
-    not work units — any set of disjoint ``[start, stop)`` ranges that
-    covers every item completes it, regardless of how the ranges were
-    cut.
+    Work stealing splits spans while the run executes, and a checkpoint
+    resume may cover arbitrary item ranges from an earlier run.  So the
+    assembler tracks items, not work units — any set of disjoint ranges
+    that covers every item completes it, regardless of how the ranges
+    were cut.  A chunk run uses one slot per chunk, holding that
+    chunk's result list.
 
-    Duplicate deliveries (a requeued span whose original result arrives
-    late) are ignored whole: :meth:`add` fills a range only when *none*
-    of its slots are filled yet, so the first delivery wins exactly as
-    in :class:`ResultAssembler`.
+    A range overlapping already-filled slots is refused whole:
+    :meth:`add` fills a range only when *none* of its slots are filled
+    yet, so the first delivery wins.
     """
 
     def __init__(self, total: int) -> None:

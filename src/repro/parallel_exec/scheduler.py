@@ -1,74 +1,41 @@
-"""Chunked scheduling: shard a work list across the pool, keep order.
+"""Batch front ends of the dispatch core: chunk runs and span runs.
 
-The scheduler owns the recovery policy (:class:`RetryPolicy`):
-
-* A **task exception** aborts the whole run immediately by default
-  (re-running the same deterministic chunk would fail again) as
-  :class:`TaskError`; with ``retry_task_errors`` it is retried on
-  another worker instead, which is what makes quarantine meaningful.
-* A **worker crash** (process died mid-chunk) requeues the chunk on a
-  fresh worker after an exponential-backoff-with-jitter delay, up to
-  ``max_retries`` extra attempts.
-* A **per-chunk timeout** kills the worker holding the chunk and
-  requeues it the same way.
-* A chunk that fails on ``quarantine_threshold`` *distinct* workers is
-  **poisoned**: the input, not a worker, is at fault.  With
-  ``policy.quarantine`` it is pulled from rotation and reported
-  (:class:`QuarantinedChunk`) while the rest of the batch completes;
-  without it, the run raises as before.
-* A worker that fails ``breaker_threshold`` chunks consecutively trips
-  its **circuit breaker** and is retired/respawned even if alive.
-* Idle workers answer **heartbeat pings**; one that stays silent past
-  ``heartbeat_timeout`` is declared wedged and replaced.
-
-One chunk is in flight per worker, so the timeout clock starts at
-dispatch, not at submission.  Completed chunks land in a
-:class:`~repro.parallel_exec.results.ResultAssembler`, which restores
-submission order regardless of completion order — and, when a
-``checkpoint`` manifest path is given, are persisted as they finish so
-a killed run resumes without redoing them.
+Both hand their work to :func:`~repro.parallel_exec.dispatch.drive`,
+which owns every recovery rule, and differ only in how work is cut and
+named.  :func:`run_chunks_report` runs pre-sliced chunks as 1-item spans
+over chunk indices (never split, named by index, chunk-keyed
+manifests); :func:`run_spans_report` runs cost-planned item spans that
+idle workers steal halves of (named by ``(start, stop)``, span-keyed
+manifests).  Results land in a
+:class:`~repro.parallel_exec.results.SpanAssembler`, which restores
+submission order regardless of completion order, and are checkpointed
+as they land when a manifest path is given.
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..observability import metrics as _metrics
 from ..observability import timeline as _timeline
 from .checkpoint import BatchCheckpoint, SpanCheckpoint
+from .dispatch import (
+    Hooks,
+    Span,
+    SpanDeque,
+    collect_worker_metrics,
+    drive,
+)
 from .hardening import (
     PoolStats,
     QuarantineLog,
     QuarantinedChunk,
     RetryPolicy,
-    WorkerLedger,
+    WorkKey,
 )
-from .pool import (
-    METRICS_CHUNK_INDEX,
-    PING_CHUNK_INDEX,
-    WorkerPool,
-    _TASK_KINDS,
-)
-from .results import (
-    ChunkQuarantinedError,
-    ChunkTimeoutError,
-    ResultAssembler,
-    SpanAssembler,
-    TaskError,
-    WorkerCrashError,
-)
-
-#: How long one poll of the result queue blocks while chunks are in
-#: flight; bounds how stale a timeout/crash/heartbeat check can be.
-_POLL_INTERVAL = 0.05
-
-#: How long the scheduler waits for workers to answer the end-of-run
-#: metrics-snapshot request before giving up (a wedged worker must not
-#: hang the batch on account of observability).
-_METRICS_COLLECT_TIMEOUT = 5.0
+from .pool import WorkerPool, _TASK_KINDS
+from .results import ChunkQuarantinedError, SpanAssembler
 
 # Parent-side pool metrics.  Chunk latency is dispatch → result as the
 # scheduler sees it; pool_events_total mirrors PoolStats so one armed
@@ -80,9 +47,6 @@ _CHUNK_LATENCY = _metrics.registry().histogram(
 _POOL_EVENTS = _metrics.registry().counter(
     "pool_events_total", "Pool lifecycle events, mirroring PoolStats",
     ("event",))
-_STEALS = _metrics.registry().counter(
-    "pool_steal_total",
-    "Spans split because idle workers outnumbered remaining spans")
 
 
 class ChunkView(Sequence):
@@ -154,18 +118,36 @@ def chunked(items: Sequence[Any], chunk_size: int) -> List[ChunkView]:
             for i in range(0, len(items), chunk_size)]
 
 
+class _RunSummary:
+    """``ok`` and ``summary()`` of a run report."""
+
+    unit = "chunk"
+    quarantined: List[QuarantinedChunk]
+    stats: PoolStats
+
+    @property
+    def ok(self) -> bool:
+        return not self.quarantined
+
+    def summary(self) -> str:
+        lines = [self.stats.summary()]
+        if self.quarantined:
+            lines.append(
+                f"{len(self.quarantined)} {self.unit}(s) quarantined:")
+            lines.extend(f"  {q}" for q in self.quarantined)
+        else:
+            lines.append(f"no {self.unit}s quarantined")
+        return "\n".join(lines)
+
+
 @dataclass
-class ChunkRunReport:
+class ChunkRunReport(_RunSummary):
     """Everything one chunked run produced, including its failures."""
 
     #: Per-chunk results in submission order; None where quarantined.
     chunk_results: List[Optional[List[Any]]]
     quarantined: List[QuarantinedChunk] = field(default_factory=list)
     stats: PoolStats = field(default_factory=PoolStats)
-
-    @property
-    def ok(self) -> bool:
-        return not self.quarantined
 
     def flat(self) -> List[Any]:
         """All item results concatenated; raises if any chunk failed."""
@@ -176,15 +158,6 @@ class ChunkRunReport:
         for values in self.chunk_results:
             out.extend(values)  # type: ignore[arg-type]
         return out
-
-    def summary(self) -> str:
-        lines = [self.stats.summary()]
-        if self.quarantined:
-            lines.append(f"{len(self.quarantined)} chunk(s) quarantined:")
-            lines.extend(f"  {q}" for q in self.quarantined)
-        else:
-            lines.append("no chunks quarantined")
-        return "\n".join(lines)
 
 
 def run_chunks(kind: str, chunks: Sequence[Any], *,
@@ -217,6 +190,38 @@ def run_chunks_report(kind: str, chunks: Sequence[Any], *,
     """Like :func:`run_chunks` but returns the full
     :class:`ChunkRunReport` (per-chunk results, quarantine log, pool
     stats) instead of a flat list."""
+    policy = _checked_policy(kind, policy, max_retries)
+    stats = PoolStats(chunks=len(chunks))
+    if not chunks:
+        return ChunkRunReport(chunk_results=[], stats=stats)
+
+    # One assembler slot per chunk, holding that chunk's result list.
+    assembler = SpanAssembler(len(chunks))
+    record = None
+    if checkpoint is not None:
+        manifest = BatchCheckpoint(checkpoint)
+        for index, values in manifest.begin(kind, chunks).items():
+            assembler.add(index, index + 1, [values])
+            stats.checkpoint_hits += 1
+            stats.completed += 1
+
+        def record(span: Span, values: List[Any]) -> None:
+            manifest.record(span[0], values[0])
+
+    work = SpanDeque([(i, i + 1) for i in range(len(chunks))
+                      if not assembler.covered(i, i + 1)])
+    quarantined = _run(kind, work, workers, timeout, policy, stats,
+                       assembler,
+                       task=lambda span: chunks[span[0]],
+                       values=lambda span, result: [result],
+                       record=record, key=lambda span: span[0],
+                       transport="pickle")
+    return ChunkRunReport(chunk_results=assembler.values(),
+                          quarantined=quarantined, stats=stats)
+
+
+def _checked_policy(kind: str, policy: Optional[RetryPolicy],
+                    max_retries: int) -> RetryPolicy:
     if kind not in _TASK_KINDS:
         raise KeyError(f"unknown task kind: {kind!r}")
     if policy is None:
@@ -224,281 +229,70 @@ def run_chunks_report(kind: str, chunks: Sequence[Any], *,
         # the quarantine threshold cut a caller's retry budget short.
         policy = RetryPolicy(max_retries=max_retries,
                              quarantine_threshold=max(3, max_retries + 1))
-    stats = PoolStats(chunks=len(chunks))
+    return policy
+
+
+def _run(kind: str, work: SpanDeque, workers: int,
+         timeout: Optional[float], policy: RetryPolicy, stats: PoolStats,
+         assembler: SpanAssembler, *,
+         task: Callable[[Span], Any],
+         values: Callable[[Span, Any], List[Any]],
+         record: Optional[Callable[[Span, List[Any]], None]],
+         key: Callable[[Span], WorkKey],
+         transport: str) -> List[QuarantinedChunk]:
+    """Drive ``work`` in process or on a pool of its own; fill
+    ``assembler`` and return the quarantined units."""
     quarantine = QuarantineLog(policy.quarantine_threshold)
-    if not chunks:
-        return ChunkRunReport(chunk_results=[], stats=stats)
+    labeled_lanes: set = set()
 
-    assembler = ResultAssembler(len(chunks))
-    manifest: Optional[BatchCheckpoint] = None
-    if checkpoint is not None:
-        manifest = BatchCheckpoint(checkpoint)
-        for index, values in manifest.begin(kind, chunks).items():
-            assembler.add(index, values)
-            stats.checkpoint_hits += 1
-            stats.completed += 1
+    def deliver(span: Span, result: Any, worker_id: Optional[int],
+                seconds: Optional[float], attempts: int) -> None:
+        if seconds is not None:
+            if _metrics.ARMED:
+                _CHUNK_LATENCY.observe(seconds, kind=kind,
+                                       transport=transport)
+            tl = _timeline.ACTIVE
+            if tl is not None:
+                tid = 1 + worker_id
+                if tid not in labeled_lanes:
+                    labeled_lanes.add(tid)
+                    tl.label_lane(tid, f"worker {worker_id}")
+                unit = key(span)
+                name = (f"chunk {unit}" if isinstance(unit, int)
+                        else f"span {span[0]}:{span[1]}")
+                tl.complete(name, tl.now() - seconds, seconds, tid=tid,
+                            args={"kind": kind, "transport": transport,
+                                  "attempts": attempts})
+        span_values = values(span, result)
+        assembler.add(*span, span_values)
+        if record is not None:
+            record(span, span_values)
 
+    def give_up(span: Span, error: Exception) -> None:
+        if not policy.quarantine:
+            raise error
+        assembler.add_failed(*span)
+
+    hooks = Hooks(payload=lambda span: (kind, task(span), timeout),
+                  deliver=deliver, give_up=give_up, key=key)
     if workers <= 1:
-        _run_serial(kind, chunks, policy, assembler, quarantine, stats,
-                    manifest)
-    elif not assembler.complete:
-        remaining = sum(1 for i in range(len(chunks))
-                        if not assembler.has(i))
-        pool = WorkerPool(min(workers, remaining))
+        drive(None, work, policy, hooks, stats, quarantine)
+    elif work:
+        # Size by the lane groups left, not by the planned spans: a
+        # resumed run's one contiguous gap is one span, and stealing
+        # splits it across every worker the pool has.
+        pool = WorkerPool(min(workers, work.lane_groups()))
         try:
-            _drive(pool, kind, chunks, timeout, policy, assembler,
-                   quarantine, stats, manifest)
+            drive(pool, work, policy, hooks, stats, quarantine)
+            if _metrics.ARMED:
+                collect_worker_metrics(pool)
         finally:
             pool.shutdown()
-
     if _metrics.ARMED:
-        _record_pool_stats(stats)
-    return ChunkRunReport(chunk_results=assembler.partial(),
-                          quarantined=quarantine.quarantined(),
-                          stats=stats)
-
-
-def _record_pool_stats(stats: PoolStats) -> None:
-    """Mirror one run's :class:`PoolStats` into the metrics registry."""
-    for event, value in vars(stats).items():
-        if value:
-            _POOL_EVENTS.inc(value, event=event)
-
-
-def _collect_worker_metrics(pool: WorkerPool) -> None:
-    """Merge every live worker's metrics snapshot into the parent.
-
-    Runs after the last chunk completes and before shutdown.  Workers
-    reset their (fork-inherited) registry at startup, so each snapshot
-    is a pure per-worker delta and the commutative merge rules make the
-    parent totals independent of arrival order.  A worker that fails to
-    answer within :data:`_METRICS_COLLECT_TIMEOUT` just drops its
-    snapshot — observability never hangs a finished batch.
-    """
-    expected = 0
-    for worker in pool.workers.values():
-        if worker.alive and not worker.busy:
-            worker.request_metrics()
-            expected += 1
-    registry = _metrics.registry()
-    deadline = time.monotonic() + _METRICS_COLLECT_TIMEOUT
-    while expected > 0 and time.monotonic() < deadline:
-        message = pool.poll_result(_POLL_INTERVAL)
-        if message is None:
-            continue
-        _, chunk_index, ok, payload = message
-        if chunk_index == METRICS_CHUNK_INDEX and ok:
-            registry.merge(payload)
-            expected -= 1
-
-
-def _run_serial(kind: str, chunks: Sequence[Any], policy: RetryPolicy,
-                assembler: ResultAssembler, quarantine: QuarantineLog,
-                stats: PoolStats,
-                manifest: Optional[BatchCheckpoint]) -> None:
-    """In-process execution: same recording, no pool.
-
-    Retrying in the same process cannot change a deterministic task's
-    outcome, so a failing chunk is quarantined (or raised) immediately.
-    """
-    fn = _TASK_KINDS[kind]
-    for chunk_index, payload in enumerate(chunks):
-        if assembler.has(chunk_index):
-            continue
-        try:
-            values = fn(payload)
-        except Exception as exc:
-            stats.task_failures += 1
-            message = f"{type(exc).__name__}: {exc}"
-            if policy.quarantine:
-                quarantine.force(chunk_index, 0, message)
-                assembler.add_failed(chunk_index)
-                continue
-            raise TaskError(chunk_index, message) from exc
-        assembler.add(chunk_index, values)
-        stats.completed += 1
-        if manifest is not None:
-            manifest.record(chunk_index, values)
-
-
-def _resolve_failed(chunk_index: int, policy: RetryPolicy,
-                    assembler: ResultAssembler,
-                    quarantine: QuarantineLog, error) -> None:
-    """A chunk is out of attempts or poisoned: quarantine or raise."""
-    quarantine.force(chunk_index)
-    if not policy.quarantine:
-        raise error
-    assembler.add_failed(chunk_index)
-
-
-def _drive(pool: WorkerPool, kind: str, chunks: Sequence[Any],
-           timeout: Optional[float], policy: RetryPolicy,
-           assembler: ResultAssembler, quarantine: QuarantineLog,
-           stats: PoolStats,
-           manifest: Optional[BatchCheckpoint]) -> None:
-    rng = policy.make_rng()
-    ledger = WorkerLedger(policy.breaker_threshold)
-    labeled_lanes: set = set()
-    #: (ready_at, chunk_index, payload, attempts) awaiting a worker;
-    #: ready_at implements the backoff delay between attempts.
-    pending = [(0.0, i, payload, 1) for i, payload in enumerate(chunks)
-               if not assembler.has(i)]
-
-    def retire(worker, graceful: bool = False) -> None:
-        ledger.forget(worker.worker_id)
-        pool.replace(worker, graceful=graceful)
-
-    def requeue(chunk_index: int, payload: Any, attempts: int,
-                now: float) -> None:
-        delay = policy.delay(attempts + 1, rng)
-        stats.retries += 1
-        stats.backoff_seconds += delay
-        pending.append((now + delay, chunk_index, payload, attempts + 1))
-
-    while not assembler.complete:
-        now = time.monotonic()
-        for worker in list(pool.workers.values()):
-            if not worker.busy and not worker.alive:
-                # Died between chunks (e.g. OOM-killed while idle):
-                # replace it so the pool keeps its size.
-                retire(worker)
-
-        ready = sorted(e for e in pending if e[0] <= now)
-        for worker in pool.idle_workers():
-            if not ready:
-                break
-            entry = ready.pop(0)
-            pending.remove(entry)
-            _, chunk_index, payload, attempts = entry
-            worker.dispatch(chunk_index, kind, payload, attempts, timeout)
-
-        if policy.heartbeat_interval is not None:
-            _heartbeat(pool, policy, stats, retire, now)
-
-        message = pool.poll_result(_POLL_INTERVAL)
-        if message is not None:
-            worker_id, chunk_index, ok, payload = message
-            now = time.monotonic()
-            worker = pool.workers.get(worker_id)
-            if worker is not None:
-                worker.heard_from(now)
-            if chunk_index == PING_CHUNK_INDEX:
-                stats.pongs_received += 1
-                continue
-            if chunk_index == METRICS_CHUNK_INDEX:
-                if ok:
-                    _metrics.registry().merge(payload)
-                continue
-            task = worker.task if worker is not None else None
-            held = task is not None and task[0] == chunk_index
-            duration = (now - worker.dispatched_at
-                        if held and worker.dispatched_at is not None
-                        else None)
-            if held:
-                worker.finish()
-            if ok:
-                ledger.record_success(worker_id)
-                if duration is not None:
-                    if _metrics.ARMED:
-                        _CHUNK_LATENCY.observe(duration, kind=kind,
-                                               transport="pickle")
-                    tl = _timeline.ACTIVE
-                    if tl is not None:
-                        tid = 1 + worker_id
-                        if tid not in labeled_lanes:
-                            labeled_lanes.add(tid)
-                            tl.label_lane(tid, f"worker {worker_id}")
-                        tl.complete(f"chunk {chunk_index}",
-                                    tl.now() - duration, duration, tid=tid,
-                                    args={"kind": kind,
-                                          "attempts": task[3]})
-                if not assembler.has(chunk_index):
-                    assembler.add(chunk_index, payload)
-                    stats.completed += 1
-                    if manifest is not None:
-                        manifest.record(chunk_index, payload)
-                continue
-            # A task exception, reported by a surviving worker.
-            stats.task_failures += 1
-            if not policy.retry_task_errors:
-                raise TaskError(chunk_index, payload)
-            if not held or assembler.has(chunk_index):
-                # Stale report: the chunk was already requeued (its
-                # worker timed out) or resolved by another copy.
-                continue
-            _, _, chunk_payload, attempts = task
-            if ledger.record_failure(worker_id):
-                # Breaker trip: the worker is alive and idle (we just
-                # took its failure report), so retire it gracefully —
-                # a SIGKILL here can catch its queue feeder thread still
-                # holding the shared result queue's write lock and
-                # deadlock every other worker's put().
-                stats.workers_retired += 1
-                retire(worker, graceful=True)
-            poisoned = quarantine.record(chunk_index, worker_id, payload)
-            if poisoned or attempts > policy.max_retries:
-                _resolve_failed(chunk_index, policy, assembler, quarantine,
-                                TaskError(chunk_index, payload))
-            else:
-                requeue(chunk_index, chunk_payload, attempts, now)
-            continue
-
-        now = time.monotonic()
-        for worker in pool.busy_workers():
-            chunk_index, _, payload, attempts = worker.task
-            if assembler.has(chunk_index):
-                # Result arrived from a requeued copy.  Just free the
-                # slot: the worker finishes its stale computation and
-                # the late report is ignored (killing it mid-run could
-                # wedge the shared result queue).
-                worker.finish()
-                continue
-            crashed = not worker.alive
-            if not crashed and not worker.timed_out(now):
-                continue
-            worker_id = worker.worker_id
-            if crashed:
-                stats.crashes += 1
-                reason = "worker crashed"
-                error = WorkerCrashError(chunk_index, attempts)
-            else:
-                stats.timeouts += 1
-                reason = f"timed out after {timeout:g}s"
-                error = ChunkTimeoutError(chunk_index, timeout or 0.0,
-                                          attempts)
-            retire(worker)
-            poisoned = quarantine.record(chunk_index, worker_id, reason)
-            if poisoned or attempts > policy.max_retries:
-                _resolve_failed(chunk_index, policy, assembler, quarantine,
-                                error)
-            else:
-                requeue(chunk_index, payload, attempts, now)
-
-    if _metrics.ARMED:
-        _collect_worker_metrics(pool)
-
-
-def _heartbeat(pool: WorkerPool, policy: RetryPolicy, stats: PoolStats,
-               retire, now: float) -> None:
-    """Ping idle workers; replace any that stay silent too long.
-
-    Busy workers are intentionally exempt: their liveness is covered by
-    the crash check and the per-chunk timeout, and a ping would sit
-    behind the running chunk in the task queue anyway.
-    """
-    for worker in list(pool.workers.values()):
-        if worker.busy or not worker.alive:
-            continue
-        if worker.ping_sent is not None:
-            if now - worker.ping_sent > policy.heartbeat_timeout:
-                # Graceful first: if the silence was a false positive
-                # the sentinel lets it exit cleanly instead of risking
-                # a kill mid-write on the shared result queue.
-                stats.workers_retired += 1
-                retire(worker, graceful=True)
-        elif now - worker.last_seen >= policy.heartbeat_interval:
-            worker.send_ping(now)
-            stats.pings_sent += 1
+        for event, value in vars(stats).items():
+            if value:
+                _POOL_EVENTS.inc(value, event=event)
+    return quarantine.quarantined()
 
 
 def run_chunked(kind: str, items: Sequence[Any], *,
@@ -516,17 +310,14 @@ def run_chunked(kind: str, items: Sequence[Any], *,
 
 # -- adaptive spans + work stealing ------------------------------------------------
 #
-# The chunk path above fixes the work units before the first dispatch;
-# on ragged batches the run then serializes behind whichever worker drew
-# the most expensive chunk.  The span path plans *coarse* item ranges
-# from a cost estimate and lets idle workers steal half of the largest
-# remaining span, so the tail of a batch self-balances.  Spans carry no
-# payload of their own — the zero-copy transport (repro.parallel_exec.shm)
-# keeps the bytes in a shared-memory arena and a span names an item
-# range inside it.
-
-#: One work unit: the half-open item range ``[start, stop)``.
-Span = Tuple[int, int]
+# Fixed chunks are cut before the first dispatch; on ragged batches the
+# run then serializes behind whichever worker drew the most expensive
+# chunk.  The span path plans *coarse* item ranges from a cost estimate
+# and lets idle workers steal half of the largest remaining span
+# (:class:`~repro.parallel_exec.dispatch.SpanDeque`), so the tail of a
+# batch self-balances.  Spans carry no payload of their own — the
+# zero-copy transport (repro.parallel_exec.shm) keeps the bytes in a
+# shared-memory arena and a span names an item range inside it.
 
 
 def plan_spans(sizes: Sequence[int], workers: int, *,
@@ -564,53 +355,11 @@ def plan_spans(sizes: Sequence[int], workers: int, *,
     return spans
 
 
-class SpanDeque:
-    """The parent-owned deque of undispatched spans, with steal-half.
-
-    Dispatch normally pops the leftmost span (keeping items roughly in
-    order, which keeps checkpoint manifests compact).  When idle workers
-    outnumber the remaining spans — the tail of a ragged batch — the
-    *largest* remaining span is split in half on a lane-group boundary:
-    the caller gets the left half, the right half stays stealable.  One
-    straggler span therefore keeps getting halved until every worker is
-    busy or spans reach one lane group.
-    """
-
-    def __init__(self, spans: Sequence[Span], lane_width: int = 1) -> None:
-        self._spans = deque(spans)
-        self.lane_width = max(1, lane_width)
-        self.steals = 0
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def push(self, span: Span) -> None:
-        self._spans.append(span)
-
-    def take(self, idle_workers: int = 1) -> Optional[Span]:
-        """The next span to dispatch, splitting under scarcity."""
-        if not self._spans:
-            return None
-        if len(self._spans) >= max(1, idle_workers):
-            return self._spans.popleft()
-        index = max(range(len(self._spans)),
-                    key=lambda i: self._spans[i][1] - self._spans[i][0])
-        start, stop = self._spans[index]
-        lanes = -(-(stop - start) // self.lane_width)
-        if lanes <= 1:  # one lane group cannot split further
-            del self._spans[index]
-            return (start, stop)
-        mid = start + (lanes // 2) * self.lane_width
-        self._spans[index] = (mid, stop)
-        self.steals += 1
-        if _metrics.ARMED:
-            _STEALS.inc()
-        return (start, mid)
-
-
 @dataclass
-class SpanRunReport:
+class SpanRunReport(_RunSummary):
     """Everything one span-scheduled run produced."""
+
+    unit = "span"
 
     #: Per-*item* results in submission order; None where the covering
     #: span was quarantined.
@@ -619,25 +368,12 @@ class SpanRunReport:
     quarantined: List[QuarantinedChunk] = field(default_factory=list)
     stats: PoolStats = field(default_factory=PoolStats)
 
-    @property
-    def ok(self) -> bool:
-        return not self.quarantined
-
     def flat(self) -> List[Any]:
         """All item results; raises if any span was quarantined."""
         if self.quarantined:
             raise ChunkQuarantinedError(
                 [q.chunk_index for q in self.quarantined])
         return list(self.results)
-
-    def summary(self) -> str:
-        lines = [self.stats.summary()]
-        if self.quarantined:
-            lines.append(f"{len(self.quarantined)} span(s) quarantined:")
-            lines.extend(f"  {q}" for q in self.quarantined)
-        else:
-            lines.append("no spans quarantined")
-        return "\n".join(lines)
 
 
 def run_spans_report(kind: str, total: int, *,
@@ -659,24 +395,19 @@ def run_spans_report(kind: str, total: int, *,
     and ``collect(start, stop, result)`` turns a worker's reply into the
     per-item values — for the shared-memory transport that means reading
     the digests the worker wrote in place.  Retry, circuit-breaker,
-    quarantine, heartbeat and checkpoint semantics mirror
+    quarantine, heartbeat and checkpoint semantics are those of
     :func:`run_chunks_report`, keyed on span ranges instead of chunk
     indices; ``fingerprint`` guards a resumed checkpoint against a
     different batch.
     """
-    if kind not in _TASK_KINDS:
-        raise KeyError(f"unknown task kind: {kind!r}")
-    if policy is None:
-        policy = RetryPolicy(max_retries=max_retries,
-                             quarantine_threshold=max(3, max_retries + 1))
+    policy = _checked_policy(kind, policy, max_retries)
     spans = list(spans)
     stats = PoolStats(chunks=len(spans))
-    quarantine = QuarantineLog(policy.quarantine_threshold)
-    assembler = SpanAssembler(total)
     if total == 0:
         return SpanRunReport(results=[], stats=stats)
 
-    manifest: Optional[SpanCheckpoint] = None
+    assembler = SpanAssembler(total)
+    record = None
     if checkpoint is not None:
         manifest = SpanCheckpoint(checkpoint)
         for start, stop, values in manifest.begin(kind, fingerprint, total):
@@ -689,214 +420,14 @@ def run_spans_report(kind: str, total: int, *,
             spans = assembler.uncovered_runs()
             stats.chunks = stats.checkpoint_hits + len(spans)
 
-    if workers <= 1:
-        _run_serial_spans(kind, spans, payload, collect, policy, assembler,
-                          quarantine, stats, manifest)
-    elif not assembler.complete:
-        pool = WorkerPool(min(workers, len(spans)) or 1)
-        try:
-            _drive_spans(pool, kind, payload, collect, spans, lane_width,
-                         timeout, policy, assembler, quarantine, stats,
-                         manifest, transport)
-        finally:
-            pool.shutdown()
+        def record(span: Span, values: List[Any]) -> None:
+            manifest.record(span[0], span[1], values)
 
-    if _metrics.ARMED:
-        _record_pool_stats(stats)
+    quarantined = _run(kind, SpanDeque(spans, lane_width), workers, timeout,
+                       policy, stats, assembler,
+                       task=lambda span: payload(*span),
+                       values=lambda span, result: collect(*span, result),
+                       record=record, key=lambda span: span,
+                       transport=transport)
     return SpanRunReport(results=assembler.values(),
-                         quarantined=quarantine.quarantined(),
-                         stats=stats)
-
-
-def _run_serial_spans(kind: str, spans: Sequence[Span], payload, collect,
-                      policy: RetryPolicy, assembler: SpanAssembler,
-                      quarantine: QuarantineLog, stats: PoolStats,
-                      manifest: Optional[SpanCheckpoint]) -> None:
-    """In-process span execution: same recording, no pool."""
-    fn = _TASK_KINDS[kind]
-    for start, stop in spans:
-        if assembler.covered(start, stop):
-            continue
-        try:
-            result = fn(payload(start, stop))
-        except Exception as exc:
-            stats.task_failures += 1
-            message = f"{type(exc).__name__}: {exc}"
-            if policy.quarantine:
-                quarantine.force((start, stop), 0, message)
-                assembler.add_failed(start, stop)
-                continue
-            raise TaskError((start, stop), message) from exc
-        values = collect(start, stop, result)
-        if assembler.add(start, stop, values):
-            stats.completed += 1
-            if manifest is not None:
-                manifest.record(start, stop, values)
-
-
-def _resolve_failed_span(span: Span, policy: RetryPolicy,
-                         assembler: SpanAssembler,
-                         quarantine: QuarantineLog, error) -> None:
-    """A span is out of attempts or poisoned: quarantine or raise."""
-    quarantine.force(span)
-    if not policy.quarantine:
-        raise error
-    assembler.add_failed(*span)
-
-
-def _drive_spans(pool: WorkerPool, kind: str, payload, collect,
-                 spans: Sequence[Span], lane_width: int,
-                 timeout: Optional[float], policy: RetryPolicy,
-                 assembler: SpanAssembler, quarantine: QuarantineLog,
-                 stats: PoolStats, manifest: Optional[SpanCheckpoint],
-                 transport: str) -> None:
-    rng = policy.make_rng()
-    ledger = WorkerLedger(policy.breaker_threshold)
-    labeled_lanes: set = set()
-    work = SpanDeque(spans, lane_width)
-    #: dispatch id -> span; ids are fresh per dispatch so a late result
-    #: from a replaced worker still names the right span.
-    span_of: Dict[int, Span] = {}
-    next_id = 0
-    #: (ready_at, span, attempts) awaiting re-dispatch after a failure.
-    pending: List[Tuple[float, Span, int]] = []
-
-    def retire(worker, graceful: bool = False) -> None:
-        ledger.forget(worker.worker_id)
-        pool.replace(worker, graceful=graceful)
-
-    def requeue(span: Span, attempts: int, now: float) -> None:
-        delay = policy.delay(attempts + 1, rng)
-        stats.retries += 1
-        stats.backoff_seconds += delay
-        pending.append((now + delay, span, attempts + 1))
-
-    while not assembler.complete:
-        now = time.monotonic()
-        for worker in list(pool.workers.values()):
-            if not worker.busy and not worker.alive:
-                retire(worker)
-
-        idle = pool.idle_workers()
-        ready = sorted(e for e in pending if e[0] <= now)
-        for slot, worker in enumerate(idle):
-            if ready:
-                entry = ready.pop(0)
-                pending.remove(entry)
-                _, span, attempts = entry
-            else:
-                span = work.take(len(idle) - slot)
-                if span is None:
-                    break
-                attempts = 1
-            sid = next_id
-            next_id += 1
-            span_of[sid] = span
-            worker.dispatch(sid, kind, payload(*span), attempts, timeout)
-
-        if policy.heartbeat_interval is not None:
-            _heartbeat(pool, policy, stats, retire, now)
-
-        message = pool.poll_result(_POLL_INTERVAL)
-        if message is not None:
-            worker_id, sid, ok, result = message
-            now = time.monotonic()
-            worker = pool.workers.get(worker_id)
-            if worker is not None:
-                worker.heard_from(now)
-            if sid == PING_CHUNK_INDEX:
-                stats.pongs_received += 1
-                continue
-            if sid == METRICS_CHUNK_INDEX:
-                if ok:
-                    _metrics.registry().merge(result)
-                continue
-            span = span_of.get(sid)
-            task = worker.task if worker is not None else None
-            held = task is not None and task[0] == sid
-            duration = (now - worker.dispatched_at
-                        if held and worker.dispatched_at is not None
-                        else None)
-            if held:
-                worker.finish()
-            if span is None:
-                continue  # dispatch record lost with a replaced worker
-            if ok:
-                ledger.record_success(worker_id)
-                if duration is not None:
-                    if _metrics.ARMED:
-                        _CHUNK_LATENCY.observe(duration, kind=kind,
-                                               transport=transport)
-                    tl = _timeline.ACTIVE
-                    if tl is not None:
-                        tid = 1 + worker_id
-                        if tid not in labeled_lanes:
-                            labeled_lanes.add(tid)
-                            tl.label_lane(tid, f"worker {worker_id}")
-                        tl.complete(f"span {span[0]}:{span[1]}",
-                                    tl.now() - duration, duration, tid=tid,
-                                    args={"kind": kind,
-                                          "transport": transport,
-                                          "attempts": task[3]})
-                if not assembler.covered(*span):
-                    values = collect(span[0], span[1], result)
-                    if assembler.add(*span, values):
-                        stats.completed += 1
-                        if manifest is not None:
-                            manifest.record(span[0], span[1], values)
-                continue
-            # A task exception, reported by a surviving worker.
-            stats.task_failures += 1
-            if not policy.retry_task_errors:
-                raise TaskError(span, result)
-            if not held or assembler.covered(*span):
-                continue  # stale report: already requeued or resolved
-            attempts = task[3]
-            if ledger.record_failure(worker_id):
-                # Breaker trip — graceful retire, exactly as in _drive:
-                # a SIGKILL here could catch the worker's feeder thread
-                # holding the shared result queue's write lock.
-                stats.workers_retired += 1
-                retire(worker, graceful=True)
-            poisoned = quarantine.record(span, worker_id, result)
-            if poisoned or attempts > policy.max_retries:
-                _resolve_failed_span(span, policy, assembler, quarantine,
-                                     TaskError(span, result))
-            else:
-                requeue(span, attempts, now)
-            continue
-
-        now = time.monotonic()
-        for worker in pool.busy_workers():
-            sid, _, _, attempts = worker.task
-            span = span_of.get(sid)
-            if span is None or assembler.covered(*span):
-                # A duplicate dispatch already resolved this span; let
-                # the worker finish its stale copy (identical bytes land
-                # in the arena's slots, so in-place writes stay safe).
-                worker.finish()
-                continue
-            crashed = not worker.alive
-            if not crashed and not worker.timed_out(now):
-                continue
-            worker_id = worker.worker_id
-            if crashed:
-                stats.crashes += 1
-                reason = "worker crashed"
-                error = WorkerCrashError(span, attempts)
-            else:
-                stats.timeouts += 1
-                reason = f"timed out after {timeout:g}s"
-                error = ChunkTimeoutError(span, timeout or 0.0, attempts)
-            retire(worker)
-            poisoned = quarantine.record(span, worker_id, reason)
-            if poisoned or attempts > policy.max_retries:
-                _resolve_failed_span(span, policy, assembler, quarantine,
-                                     error)
-            else:
-                requeue(span, attempts, now)
-
-    stats.steals = work.steals
-    stats.chunks += work.steals  # every split adds one span to the run
-    if _metrics.ARMED:
-        _collect_worker_metrics(pool)
+                         quarantined=quarantined, stats=stats)

@@ -408,7 +408,7 @@ def hash_messages(algorithm: str, length: int, arch: _ArchKey,
     """Hash ``messages`` serially on this process's cached state.
 
     The public face of :func:`_hash_messages` for in-process callers
-    that manage their own batching (the serving executors): same warm
+    that manage their own batching (the tree-hash leaf planner): same warm
     permutation cache and engine dispatch as the pool task bodies, no
     pool, no chunking policy.
     """

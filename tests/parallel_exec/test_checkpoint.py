@@ -25,6 +25,7 @@ from repro.parallel_exec import (
     register_task_kind,
     run_chunks,
     run_chunks_report,
+    run_spans_report,
 )
 from repro.parallel_exec.checkpoint import SpanCheckpoint
 from repro.programs import run_many, run_many_report
@@ -34,7 +35,13 @@ def _triple(payload):
     return [3 * item for item in payload]
 
 
+def _span_pids(payload):
+    start, stop = payload
+    return [os.getpid()] * (stop - start)
+
+
 register_task_kind("test.cp_triple", _triple)
+register_task_kind("test.cp_span_pids", _span_pids)
 
 
 class TestManifest:
@@ -161,6 +168,25 @@ class TestSchedulerCheckpointing:
         # proves chunk 0 was not re-executed.
         assert report.flat() == [999, 3, 6, 9, 12, 15]
         assert report.stats.checkpoint_hits == 1
+
+    def test_resumed_span_gap_spreads_over_every_worker(self, tmp_path):
+        # A resume replans the one contiguous gap as a single span; the
+        # pool must still get both workers so stealing can split it.
+        path = str(tmp_path / "manifest.json")
+        manifest = SpanCheckpoint(path)
+        manifest.begin("test.cp_span_pids", "fp", 64)
+        manifest.record(0, 32, [0] * 32)
+
+        report = run_spans_report(
+            "test.cp_span_pids", 64, workers=2,
+            payload=lambda start, stop: (start, stop),
+            collect=lambda start, stop, pids: pids,
+            spans=[(0, 32), (32, 64)], checkpoint=path, fingerprint="fp",
+            transport="pickle")
+        assert report.stats.checkpoint_hits == 1
+        assert report.results[:32] == [0] * 32  # served, not recomputed
+        assert report.stats.steals >= 1
+        assert len(set(report.results[32:])) == 2
 
     def test_run_many_checkpoint_round_trip(self, tmp_path):
         path = str(tmp_path / "manifest.json")

@@ -26,7 +26,6 @@ from repro.parallel_exec.hardening import (
     QuarantineLog,
     WorkerLedger,
 )
-from repro.parallel_exec.results import ResultAssembler
 from repro.programs import run_many_report
 
 
@@ -128,15 +127,6 @@ class TestLedgersAndLogs:
         assert chunk.chunk_index == 5
         assert chunk.workers == (1, 1, 2)
         assert "timeout" in str(chunk)
-
-    def test_assembler_failed_slots(self):
-        assembler = ResultAssembler(2)
-        assembler.add(0, ["a"])
-        assembler.add_failed(1)
-        assert assembler.complete
-        assert assembler.partial() == [["a"], None]
-        with pytest.raises(ChunkQuarantinedError, match=r"\[1\]"):
-            assembler.assemble()
 
     def test_stats_summary_mentions_everything(self):
         stats = PoolStats(chunks=4, completed=3, retries=2, crashes=1,

@@ -26,7 +26,6 @@ from repro.parallel_exec import (
     run_chunked,
     run_chunks,
 )
-from repro.parallel_exec.results import ParallelExecError, ResultAssembler
 from repro.programs import batch_sha3_256, run_many
 
 
@@ -78,20 +77,6 @@ class TestChunking:
     def test_chunked_rejects_bad_size(self):
         with pytest.raises(ValueError):
             chunked([1], 0)
-
-    def test_assembler_requires_all_chunks(self):
-        assembler = ResultAssembler(2)
-        assembler.add(1, ["b"])
-        with pytest.raises(ParallelExecError):
-            assembler.assemble()
-        assembler.add(0, ["a"])
-        assert assembler.assemble() == ["a", "b"]
-
-    def test_assembler_ignores_duplicate_delivery(self):
-        assembler = ResultAssembler(1)
-        assembler.add(0, ["first"])
-        assembler.add(0, ["late duplicate"])
-        assert assembler.assemble() == ["first"]
 
 
 class TestScheduler:

@@ -6,12 +6,17 @@ and survive a rolling restart without losing the pool.
 """
 
 import hashlib
+import os
 import time
 
 import pytest
 
+from repro.observability import metrics
+from repro.parallel_exec import register_task_kind
+from repro.programs import batch_driver
 from repro.serve import DEADLINE_EXCEEDED, ERROR, OK, InlineExecutor, \
     PooledExecutor
+from repro.serve import executor as executor_module
 from repro.serve.executor import _plan_groups, _split_expired
 
 MESSAGES = [bytes([i]) * (40 + i) for i in range(70)]
@@ -21,6 +26,45 @@ SHAKE16 = [hashlib.shake_128(m).digest(16) for m in MESSAGES]
 
 def _items(messages, deadline=None):
     return [(m, deadline) for m in messages]
+
+
+#: Flag and attempt-log files for the fault task kinds below.  Tests
+#: point these at a tmp path *before* the executor forks its workers,
+#: so every worker (and every replacement) sees the same paths.
+_FLAG = ""
+_ATTEMPTS = ""
+
+#: Marks the one poisoned message: no other test message has this length.
+_POISON_LENGTH = 99
+
+
+def _crash_once(payload):
+    if not os.path.exists(_FLAG):
+        with open(_FLAG, "w"):
+            pass
+        os._exit(17)  # hard crash: no result, no exception report
+    return batch_driver._hash_chunk(payload)
+
+
+def _hang_once(payload):
+    if not os.path.exists(_FLAG):
+        with open(_FLAG, "w"):
+            pass
+        time.sleep(600)
+    return batch_driver._hash_chunk(payload)
+
+
+def _fail_poisoned(payload):
+    if any(len(message) == _POISON_LENGTH for message in payload[3]):
+        with open(_ATTEMPTS, "a") as handle:
+            handle.write("x\n")
+        raise ValueError("poisoned group")
+    return batch_driver._hash_chunk(payload)
+
+
+register_task_kind("test.serve_crash_once", _crash_once)
+register_task_kind("test.serve_hang_once", _hang_once)
+register_task_kind("test.serve_fail_poisoned", _fail_poisoned)
 
 
 class TestPlanning:
@@ -143,6 +187,78 @@ class TestPooledExecutor:
     def test_needs_at_least_one_worker(self):
         with pytest.raises(ValueError, match="worker"):
             PooledExecutor(0, engine="reference")
+
+
+class TestPooledExecutorFaults:
+    """Crash, timeout, breaker and exhaustion recovery of the pooled
+    executor: every group resolves to an explicit per-item outcome."""
+
+    @pytest.fixture
+    def faulty(self, monkeypatch, tmp_path):
+        module = globals()
+        monkeypatch.setitem(module, "_FLAG", str(tmp_path / "flag"))
+        monkeypatch.setitem(module, "_ATTEMPTS", str(tmp_path / "attempts"))
+        metrics.arm()
+        executors = []
+
+        def make(kind, workers=2, **kwargs):
+            monkeypatch.setattr(executor_module, "_HASH_TASK_KIND", kind)
+            ex = PooledExecutor(workers, engine="reference",
+                                transport="pickle", **kwargs)
+            executors.append(ex)
+            return ex
+
+        yield make
+        for ex in executors:
+            ex.close()
+        metrics.disarm()
+
+    @staticmethod
+    def _restarts(reason):
+        return metrics.registry().get("serve_worker_restarts_total") \
+            .value(reason=reason)
+
+    def test_crash_once_then_every_result_ok(self, faulty):
+        ex = faulty("test.serve_crash_once")
+        before = self._restarts("crashed")
+        results = ex.hash_batch("sha3_256", 32, _items(MESSAGES))
+        assert results == [(OK, d) for d in SHA3]
+        assert os.path.exists(_FLAG)  # the first attempt really died
+        assert self._restarts("crashed") - before >= 1
+        assert ex.restarts >= 1
+
+    def test_always_failing_group_errors_alone_after_all_attempts(
+            self, faulty):
+        ex = faulty("test.serve_fail_poisoned", max_retries=2)
+        messages = list(MESSAGES)
+        messages[40] = b"p" * _POISON_LENGTH  # in the second 32-group
+        results = ex.hash_batch("sha3_256", 32, _items(messages))
+        with open(_ATTEMPTS) as handle:
+            assert len(handle.readlines()) == ex.max_retries + 1
+        for i, (outcome, digest) in enumerate(results):
+            if 32 <= i < 64:
+                assert (outcome, digest) == (ERROR, None)
+            else:
+                assert (outcome, digest) == (
+                    OK, hashlib.sha3_256(messages[i]).digest())
+
+    def test_breaker_trip_counted(self, faulty):
+        ex = faulty("test.serve_fail_poisoned", workers=1, max_retries=3,
+                    breaker_threshold=2)
+        before = self._restarts("breaker")
+        items = _items([b"p" * _POISON_LENGTH] + MESSAGES[:3])
+        results = ex.hash_batch("sha3_256", 32, items)
+        assert results == [(ERROR, None)] * 4  # one group, all attempts
+        assert self._restarts("breaker") - before >= 1
+
+    def test_group_timeout_replaces_the_worker(self, faulty):
+        ex = faulty("test.serve_hang_once", group_timeout=0.3)
+        before = self._restarts("timeout")
+        start = time.monotonic()
+        results = ex.hash_batch("sha3_256", 32, _items(MESSAGES[:8]))
+        assert time.monotonic() - start < 60  # killed, not waited out
+        assert results == [(OK, d) for d in SHA3[:8]]
+        assert self._restarts("timeout") - before >= 1
 
 
 class TestTreeAlgorithms:
