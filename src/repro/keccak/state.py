@@ -126,13 +126,17 @@ class KeccakState:
         This is the absorbing operation of the sponge construction: message
         blocks are XORed into the first ``rate`` bits of the state.
         """
-        if len(data) > STATE_BYTES:
+        size = len(data)
+        if size > STATE_BYTES:
             raise ValueError(
-                f"cannot absorb {len(data)} bytes into a 200-byte state"
+                f"cannot absorb {size} bytes into a 200-byte state"
             )
-        for i, byte in enumerate(data):
-            lane_index, shift = divmod(i, 8)
-            self._lanes[lane_index] ^= byte << (8 * shift)
+        lanes = self._lanes
+        # One little-endian word per lane; a partial last word fills
+        # the low bytes of its lane.
+        for lane_index, start in enumerate(range(0, size, 8)):
+            lanes[lane_index] ^= int.from_bytes(data[start:start + 8],
+                                                "little")
 
     # -- misc ----------------------------------------------------------------
 

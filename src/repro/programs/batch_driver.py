@@ -7,10 +7,13 @@ simultaneously").  Each message gets its own sponge state; all states are
 absorbed/permuted together by a single program run on the simulator, so N
 messages cost the same cycle count as one.
 
-The batch sponge handles messages of *different lengths* by sub-batching:
-once a lane's message is exhausted it drops out of the absorb batches,
-and the remaining active lanes keep permuting together — mirroring how
-software would drive the hardware.
+On the processor engines (SN states per program run) the batch sponge
+handles messages of *different lengths* by sub-batching: once a lane's
+message is exhausted it drops out of the absorb batches, and the
+remaining active lanes keep permuting together — mirroring how software
+would drive the hardware.  The ``soa`` engine instead runs the resident
+lane scheduler :func:`repro.sim.codegen.sponge_soa`, which refills a
+finished lane with the next message so no lane waits for the longest.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..keccak.sponge import SHA3_SUFFIX, SHAKE_SUFFIX
 from ..keccak.state import KeccakState
+from ..sim import codegen as _codegen
 from ..sim import engines as _engines
 from ..parallel_exec import register_task_kind, run_chunks
 from ..parallel_exec import shm as _shm
@@ -374,6 +378,11 @@ def _hash_tree_messages(algorithm: str, length: int, engine: str,
     return [final(bytes(m), length, engine=engine) for m in messages]
 
 
+def _is_resident(spec) -> bool:
+    """Whether ``spec`` hashes through the resident SoA sponge."""
+    return spec is not None and spec.caps.batching and spec.caps.functional
+
+
 def _hash_messages(algorithm: str, length: int, arch: _ArchKey,
                    engine: str, messages: Sequence[bytes]) -> List[bytes]:
     """Hash ``messages`` on this process's cached execution state.
@@ -382,9 +391,11 @@ def _hash_messages(algorithm: str, length: int, arch: _ArchKey,
     shared-memory span task and the serial paths.  Tree algorithms
     (``k12``, ``parallelhash128/256``) hash whole messages through the
     tree front end; engines declaring a ``digest_batch`` hook
-    (``reference``) take the whole batch at once; everything else runs
-    in lock-step groups on the cached permutation (SN states, or the
-    SoA engine's batch width), with the rounds the algorithm demands.
+    (``reference``) take the whole batch at once; the batching
+    functional engine (``soa``) runs the resident lane scheduler
+    :func:`~repro.sim.codegen.sponge_soa`; the processor engines run in
+    SN-state lock-step groups on the cached permutation, with the
+    rounds the algorithm demands.
     """
     _validate_algorithm(algorithm)
     engine = _engines.validate(engine)
@@ -393,7 +404,12 @@ def _hash_messages(algorithm: str, length: int, arch: _ArchKey,
     spec = _engines.maybe_get(engine)
     if spec is not None and spec.digest_batch is not None:
         return spec.digest_batch(algorithm, length, messages)
-    num_rounds = _SPONGE_ALGORITHMS[algorithm][2]
+    capacity_bits, suffix, num_rounds, fixed = _SPONGE_ALGORITHMS[algorithm]
+    if _is_resident(spec):
+        return _codegen.sponge_soa(messages, (1600 - capacity_bits) // 8,
+                                   suffix,
+                                   fixed if fixed is not None else length,
+                                   num_rounds)
     perm = _cached_permutation(tuple(arch), engine, num_rounds)
     sn = perm.max_states
     digests: List[bytes] = []
@@ -569,6 +585,7 @@ def _run_many_shm(payloads: List[bytes], algorithm: str, length: int,
     out_size = digest_size(algorithm, length)
     spec = _engines.maybe_get(engine)
     num_rounds = _algorithm_rounds(algorithm)
+    spans_per_worker = 4
     if algorithm in _TREE_ALGORITHMS:
         # Whole-message trees: the leaf batching happens inside each
         # worker, so spans need no lock-step alignment — but the leaf
@@ -577,12 +594,20 @@ def _run_many_shm(payloads: List[bytes], algorithm: str, length: int,
         _warm_parent(arch, engine, workers, num_rounds)
     elif spec is not None and spec.digest_batch is not None:
         lane_width = 1  # whole-message engines have no lock-step groups
+    elif _is_resident(spec):
+        # The resident sponge refills finished lanes from the rest of
+        # its span, so each worker gets one cost-balanced span: a span
+        # of one lane group would leave nothing to refill from.
+        lane_width = 1
+        spans_per_worker = 1
+        _warm_parent(arch, engine, workers, num_rounds)
     else:
         lane_width = _cached_permutation(arch, engine,
                                          num_rounds).max_states
         _warm_parent(arch, engine, workers, num_rounds)
     sizes = [len(message) for message in payloads]
-    spans = plan_spans(sizes, workers, lane_width=lane_width)
+    spans = plan_spans(sizes, workers, lane_width=lane_width,
+                       spans_per_worker=spans_per_worker)
     fingerprint = ""
     if checkpoint is not None:
         fingerprint = _batch_fingerprint(algorithm, length, arch, engine,

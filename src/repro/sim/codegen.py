@@ -1309,6 +1309,16 @@ def unpack_states(cols, count: int):
     return out
 
 
+def _meter_soa_call(width: int, live: int) -> None:
+    """Count one ``width``-lane SoA kernel call carrying ``live`` states."""
+    SOA_STATS["kernel_calls"] += 1
+    SOA_STATS["lanes_hashed"] += live
+    SOA_STATS["lanes_padded"] += width - live
+    if _metrics.ARMED:
+        _SOA_CALLS.inc(lanes=str(width))
+        _SOA_OCCUPANCY.observe(live / width)
+
+
 def run_soa(states, num_rounds: int = NUM_ROUNDS,
             lanes: Optional[int] = None):
     """Permute ``states`` through SoA batch kernels; returns new states.
@@ -1329,11 +1339,111 @@ def run_soa(states, num_rounds: int = NUM_ROUNDS,
         bucket = min(width, soa_bucket(len(group)))
         kernel = get_or_compile_soa(bucket, num_rounds)
         permuted = kernel.fn(pack_states(group, bucket))
-        SOA_STATS["kernel_calls"] += 1
-        SOA_STATS["lanes_hashed"] += len(group)
-        SOA_STATS["lanes_padded"] += bucket - len(group)
-        if _metrics.ARMED:
-            _SOA_CALLS.inc(lanes=str(bucket))
-            _SOA_OCCUPANCY.observe(len(group) / bucket)
+        _meter_soa_call(bucket, len(group))
         out.extend(unpack_states(permuted, len(group)))
     return out
+
+
+def sponge_soa(messages, rate: int, suffix: int, out_len: int,
+               num_rounds: int = NUM_ROUNDS) -> List[bytes]:
+    """Sponge-hash every message with the state resident in SoA columns.
+
+    A lane scheduler over one kernel width, chosen once per call as
+    ``min(soa_width(), soa_bucket(len(messages)))``.  Between
+    permutations the states live only in the 25 packed columns: each
+    step XORs every absorbing lane's next ``rate``-byte block in as
+    64-bit words (one ``int.from_bytes`` per column), and after the
+    permutation each squeezing lane reads its output words straight out
+    of the columns.  Outputs longer than the rate keep their lane for
+    the extra permutations.  A lane whose output is complete takes the
+    next message — longest first, so the ragged tail is short — after
+    its 64-bit fields are zeroed in every column.  Digests come back in
+    input order.
+    """
+    if rate % 8 or not 0 < rate < 200:
+        raise ValueError(f"rate must be a multiple of 8 in (0, 200): {rate}")
+    if out_len < 0:
+        raise ValueError(f"cannot squeeze {out_len} bytes")
+    total = len(messages)
+    if total == 0:
+        return []
+    if out_len == 0:
+        return [b""] * total
+    width = min(soa_width(), soa_bucket(total))
+    kernel = get_or_compile_soa(width, num_rounds).fn
+    words = rate // 8
+    zero_block = bytes(rate)
+    # Longest first; sorted() is stable, so ties keep input order.
+    order = sorted(range(total), key=lambda i: len(messages[i]),
+                   reverse=True)
+    digests: List[bytes] = [b""] * total
+    # Per lane: message index (None once idle), padded message, offset
+    # of its next block, output squeezed so far.
+    owner: List[Optional[int]] = [None] * width
+    padded: List[bytes] = [b""] * width
+    offset = [0] * width
+    output = [bytearray() for _ in range(width)]
+
+    def load(lane: int, index: int) -> None:
+        message = messages[index]
+        pad = bytearray(rate - len(message) % rate)
+        pad[0] = suffix
+        pad[-1] ^= 0x80  # a one-byte pad folds suffix and final bit
+        owner[lane] = index
+        padded[lane] = b"".join((message, pad))
+        offset[lane] = 0
+        output[lane] = bytearray()
+
+    cols = [0] * 25
+    live = min(width, total)
+    for lane in range(live):
+        load(lane, order[lane])
+    queued = live
+    while live:
+        blocks = [zero_block] * width
+        absorbing = False
+        readers = []  # lanes whose input is all absorbed after this step
+        for lane in range(width):
+            if owner[lane] is None:
+                continue
+            start = offset[lane]
+            message = padded[lane]
+            if start < len(message):
+                blocks[lane] = message[start:start + rate]
+                start = offset[lane] = start + rate
+                absorbing = True
+            if start >= len(message):
+                readers.append(lane)
+        if absorbing:
+            grid = memoryview(b"".join(blocks)).cast("Q")
+            for i in range(words):
+                cols[i] ^= int.from_bytes(grid[i::words].tobytes(), "little")
+        cols = list(kernel(cols))
+        _meter_soa_call(width, live)
+        if not readers:
+            continue
+
+        reach = min(rate, max(out_len - len(output[lane])
+                              for lane in readers))
+        rows = [cols[i].to_bytes(8 * width, "little")
+                for i in range(-(-reach // 8))]
+        keep = -1
+        for lane in readers:
+            out = output[lane]
+            take = min(rate, out_len - len(out))
+            at = 8 * lane
+            out += b"".join(row[at:at + 8]
+                            for row in rows[:-(-take // 8)])[:take]
+            if len(out) < out_len:
+                continue
+            digests[owner[lane]] = bytes(out)
+            if queued < total:
+                load(lane, order[queued])
+                queued += 1
+                keep ^= 0xFFFFFFFFFFFFFFFF << (64 * lane)
+            else:
+                owner[lane] = None
+                live -= 1
+        if keep != -1:
+            cols = [col & keep for col in cols]
+    return digests

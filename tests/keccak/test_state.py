@@ -163,6 +163,39 @@ class TestSerialization:
         assert state[1, 0] == 0xFF
 
 
+def bytewise_xor(state, data):
+    """The byte-at-a-time absorb that ``xor_bytes`` must equal."""
+    lanes = list(state.lanes)
+    for i, byte in enumerate(bytes(data)):
+        lanes[i // 8] ^= byte << (8 * (i % 8))
+    return KeccakState(lanes)
+
+
+class TestXorBytesLaneWise:
+    """Word-at-a-time ``xor_bytes`` against the byte-wise definition."""
+
+    @pytest.mark.parametrize("kind", (bytes, bytearray, memoryview))
+    def test_every_length_matches_bytewise(self, kind, rng):
+        for length in range(201):
+            state = KeccakState([rng.getrandbits(64) for _ in range(25)])
+            data = rng.randbytes(length)
+            expected = bytewise_xor(state, data)
+            state.xor_bytes(kind(data))
+            assert state == expected, length
+
+    def test_memoryview_slice_of_a_larger_buffer(self, rng):
+        buffer = rng.randbytes(400)
+        state = KeccakState([rng.getrandbits(64) for _ in range(25)])
+        expected = bytewise_xor(state, buffer[3:140])
+        state.xor_bytes(memoryview(buffer)[3:140])
+        assert state == expected
+
+    @pytest.mark.parametrize("kind", (bytes, bytearray, memoryview))
+    def test_too_long_still_raises(self, kind):
+        with pytest.raises(ValueError, match="200-byte"):
+            KeccakState().xor_bytes(kind(bytes(201)))
+
+
 class TestEqualityAndCopy:
     def test_copy_is_independent(self, random_state):
         clone = random_state.copy()
