@@ -25,8 +25,10 @@ persistent worker processes:
 Workers are *persistent*: each keeps its warm
 :class:`~repro.programs.session.Session` (predecoded programs and fused
 superblocks survive across chunks), so the per-chunk cost is the
-simulation itself, not setup.  The high-level front ends live in
-:func:`repro.run_many` and ``batch_sha3_256(..., workers=N)``.
+simulation itself, not setup.  The batch front ends share one pool for
+the life of the process and keep it across clean runs.  The high-level
+front ends live in :func:`repro.run_many` and
+``batch_sha3_256(..., workers=N)``.
 """
 
 from .checkpoint import (

@@ -20,9 +20,12 @@ backoff, breaker, quarantine, heartbeats) and three :class:`Hooks`.
   ``heartbeat_timeout`` is declared wedged and replaced.
 
 One span is in flight per worker, so a timeout clock starts at
-dispatch.  Every dispatch gets a fresh id and a span leaves the
-in-flight table exactly once, so a late report from a replaced worker
-is dropped — never delivered twice.
+dispatch.  Every dispatch gets an id unique for the pool's lifetime, a
+report counts only when it comes from the worker the span went to, and
+a span leaves the in-flight table exactly once.  So a late report — from
+a replaced worker, or left on the queue by an earlier run of a
+persistent pool — is dropped, never delivered twice or to the wrong
+span.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observability import metrics as _metrics
@@ -87,11 +89,6 @@ class SpanDeque:
 
     def __len__(self) -> int:
         return len(self._spans)
-
-    def lane_groups(self) -> int:
-        """Lane groups left: the most workers these spans can keep busy."""
-        return sum(-(-(stop - start) // self.lane_width)
-                   for start, stop in self._spans)
 
     def take(self, idle_workers: int = 1) -> Optional[Span]:
         """The next span to dispatch, splitting under scarcity."""
@@ -183,7 +180,6 @@ def _run_pooled(pool: WorkerPool, work: SpanDeque, policy: RetryPolicy,
     rng = policy.make_rng()
     ledger = pool.ledger
     ledger.threshold = policy.breaker_threshold
-    ids = count()
     #: dispatch id -> (span, attempts, timeout) of every span on a worker.
     in_flight: Dict[int, Tuple[Span, int, Optional[float]]] = {}
     #: (ready_at, span, attempts) awaiting re-dispatch; ready_at
@@ -236,7 +232,7 @@ def _run_pooled(pool: WorkerPool, work: SpanDeque, policy: RetryPolicy,
             if picked is None:
                 break
             span, attempts, (kind, payload, timeout) = picked
-            sid = next(ids)
+            sid = pool.next_dispatch_id()
             in_flight[sid] = (span, attempts, timeout)
             worker.dispatch(sid, kind, payload, attempts, timeout)
 
@@ -248,18 +244,18 @@ def _run_pooled(pool: WorkerPool, work: SpanDeque, policy: RetryPolicy,
             worker_id, sid, ok, result = message
             now = time.monotonic()
             worker = pool.workers.get(worker_id)
-            seconds = None
             if worker is not None:
                 worker.heard_from(now)
-                if worker.task is not None and worker.task[0] == sid:
-                    seconds = now - worker.dispatched_at
-                    worker.finish()
             if sid == PING_CHUNK_INDEX:
                 stats.pongs_received += 1
             elif sid == METRICS_CHUNK_INDEX:
                 if ok:
                     _metrics.registry().merge(result)
-            elif sid in in_flight:
+            elif worker is not None and worker.task is not None \
+                    and worker.task[0] == sid:
+                # Only the worker holding dispatch ``sid`` answers it.
+                seconds = now - worker.dispatched_at
+                worker.finish()
                 span, attempts, _ = in_flight.pop(sid)
                 if ok:
                     ledger.record_success(worker_id)
@@ -272,7 +268,7 @@ def _run_pooled(pool: WorkerPool, work: SpanDeque, policy: RetryPolicy,
                 error = TaskError(hooks.key(span), result)
                 if not policy.retry_task_errors:
                     raise error
-                if ledger.record_failure(worker_id) and worker is not None:
+                if ledger.record_failure(worker_id):
                     # Breaker trip: the worker is alive and idle (we just
                     # took its report), so retire it gracefully — a
                     # SIGKILL here can catch its queue feeder thread
@@ -281,8 +277,9 @@ def _run_pooled(pool: WorkerPool, work: SpanDeque, policy: RetryPolicy,
                     stats.workers_retired += 1
                     pool.replace(worker, graceful=True)
                 fail(span, attempts, worker_id, result, error, now)
-            # Anything else is a late report from a replaced worker: its
-            # span was already requeued or given up.
+            # Anything else is a late report: from a replaced worker
+            # whose span was already requeued or given up, or from a
+            # worker this span was never dispatched to.
             continue
 
         now = time.monotonic()
@@ -328,15 +325,16 @@ def _heartbeat(pool: WorkerPool, policy: RetryPolicy, stats: PoolStats,
             stats.pings_sent += 1
 
 
-def collect_worker_metrics(pool: WorkerPool) -> None:
+def collect_worker_metrics(pool: WorkerPool) -> bool:
     """Merge every idle worker's metrics snapshot into the parent.
 
     Callers run this once a run (or a persistent pool) is finished,
-    never per dispatch.  Workers reset their fork-inherited registry at
-    startup, so each snapshot is a pure per-worker delta and the
-    commutative merge rules make the parent totals independent of
-    arrival order.  A worker that does not answer within
-    :data:`_METRICS_COLLECT_TIMEOUT` just drops its snapshot.
+    never per dispatch.  Workers reset their registry at startup and
+    after every snapshot, so each snapshot is a pure per-worker delta
+    and the commutative merge rules make the parent totals independent
+    of arrival order.  A worker that does not answer within
+    :data:`_METRICS_COLLECT_TIMEOUT` just drops its snapshot; the return
+    value says whether every snapshot arrived.
     """
     expected = 0
     for worker in pool.workers.values():
@@ -353,3 +351,4 @@ def collect_worker_metrics(pool: WorkerPool) -> None:
         if index == METRICS_CHUNK_INDEX and ok:
             registry.merge(payload)
             expected -= 1
+    return expected == 0

@@ -241,6 +241,14 @@ class PoolStats:
     #: spans (work-stealing runs only; always 0 on the chunk scheduler).
     steals: int = 0
 
+    @property
+    def clean(self) -> bool:
+        """No fault touched the pool: nothing crashed, timed out, failed
+        or was retired, and every heartbeat ping was answered."""
+        return not (self.crashes or self.timeouts or self.task_failures
+                    or self.workers_retired) \
+            and self.pongs_received == self.pings_sent
+
     def summary(self) -> str:
         return (f"{self.completed}/{self.chunks} chunk(s) completed "
                 f"({self.checkpoint_hits} from checkpoint), "

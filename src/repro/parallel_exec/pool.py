@@ -6,20 +6,37 @@ ever loses that one chunk) and a result queue shared by the pool.  Tasks
 are named *kinds* resolved through a registry: the parent registers a
 callable under a string key, the child inherits the registry through
 ``fork`` (or re-imports it via the module import on other start methods),
-and the queue only ever carries ``(chunk_index, kind, payload)`` — never
-code objects.
+and the queue only ever carries ``(dispatch_id, kind, payload, armed)``
+— never code objects.  In a pool built with ``follow_armed``, ``armed``
+is the parent's metrics flag at dispatch and the worker adopts it, so
+arming needs no new fork; otherwise it is None and the worker keeps the
+flag it was forked with.
 
 Workers deliberately hold mutable per-process caches (the batch-hashing
 task keeps a warm :class:`~repro.programs.session.Session` per
-architecture), which is the whole point of a persistent pool: predecode
-and superblock construction happen once per process, not once per chunk.
+architecture, compiled SoA kernels and attached shared-memory arenas),
+which is the whole point of a persistent pool: predecode and superblock
+construction happen once per process, not once per chunk.
+
+The batch front ends share one such pool for the life of the process
+(:func:`lease_shared_pool`): it is forked on the first pooled run, kept
+by every clean run and retired by any faulted one.  The serving daemon
+builds a :class:`WorkerPool` of its own.
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
+# Imported before the exit hook below is registered, so that hook runs
+# first (atexit is LIFO): the shared pool drains before util's handler
+# terminates whatever daemonic children are left.
+import multiprocessing.util  # noqa: F401
+from multiprocessing import process as _mp_process
 import os
+import threading
 import time
+from itertools import count
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..observability import metrics as _metrics
@@ -28,6 +45,9 @@ from .hardening import RetryPolicy, WorkerLedger
 #: kind -> callable(payload) -> list of results.  Populated at import
 #: time by task-owning modules (and by tests before they start a pool).
 _TASK_KINDS: Dict[str, Callable[[Any], Any]] = {}
+#: Bumped by every registration: a pool forked at an older generation
+#: lacks the newer kinds, so the shared pool is rebuilt.
+_TASK_GENERATION = 0
 
 #: Reserved task kind for worker health checks: the worker answers
 #: immediately with ``_PONG`` instead of consulting the registry.
@@ -55,10 +75,12 @@ _TASK_SECONDS = _metrics.registry().histogram(
 def register_task_kind(kind: str, fn: Callable[[Any], Any]) -> None:
     """Register ``fn`` to run in workers for tasks named ``kind``.
 
-    Registration must happen at import time (or before the pool starts):
-    forked workers inherit the registry as of the fork.
+    Forked workers inherit the registry as of the fork, so a
+    registration retires the shared pool before its next run.
     """
+    global _TASK_GENERATION
     _TASK_KINDS[kind] = fn
+    _TASK_GENERATION += 1
 
 
 def _mp_context():
@@ -69,18 +91,73 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _worker_main(worker_id: int, task_queue, result_queue) -> None:
+def _inherited_fds(ctx, task_queue, result_queue) -> Dict[int, Tuple]:
+    """The parent's open descriptors a worker about to fork should drop.
+
+    Maps each descriptor to its ``(st_dev, st_ino)``, so the worker can
+    tell a descriptor it inherited from one that reuses the number.
+    Standard streams, the task queue's read end and the result queue's
+    write end are what the worker uses and are left out; so is the
+    process sentinel, which ``start()`` opens after this snapshot.
+    Empty, so nothing is released, unless workers fork and both
+    ``/proc/self/fd`` and the queues' ``_reader``/``_writer``
+    connections (CPython's private attributes) exist.
+    """
+    if ctx.get_start_method() != "fork":
+        return {}
+    try:
+        keep = {task_queue._reader.fileno(), result_queue._writer.fileno()}
+        names = os.listdir("/proc/self/fd")
+    except (AttributeError, OSError):  # pragma: no cover
+        return {}
+    fds = {}
+    for fd in map(int, names):
+        if fd > 2 and fd not in keep:
+            try:
+                stat = os.fstat(fd)
+            except OSError:  # the listing's own descriptor, now closed
+                continue
+            fds[fd] = (stat.st_dev, stat.st_ino)
+    return fds
+
+
+def _release_fds(fds: Dict[int, Tuple]) -> None:
+    """Point each inherited descriptor of ``fds`` at ``/dev/null``.
+
+    A fork child holds every descriptor its parent had open, and a
+    worker lives as long as its pool: a pipe whose write end it kept
+    would never reach EOF, and a listening socket would stay bound.
+    The numbers stay taken, so a finaliser of an inherited object that
+    closes "its" descriptor can never close one the worker opened.
+    """
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd, ident in fds.items():
+            try:
+                stat = os.fstat(fd)
+            except OSError:
+                continue
+            if fd != null and (stat.st_dev, stat.st_ino) == ident:
+                os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
+def _worker_main(worker_id: int, task_queue, result_queue,
+                 inherited_fds: Dict[int, Tuple]) -> None:
     """Worker loop: run tasks until the ``None`` sentinel arrives.
 
-    Results are ``(worker_id, chunk_index, ok, payload)``; a task
+    Results are ``(worker_id, dispatch_id, ok, payload)``; a task
     exception is reported (not raised) so the worker survives for the
     next chunk — the scheduler decides whether to abort the run.
 
     The metrics registry (inherited populated through ``fork``) is reset
-    on entry so a later :data:`METRICS_TASK_KIND` snapshot contains only
-    *this worker's* activity — the parent merges pure deltas and never
-    double-counts its own series.
+    on entry, and again after every :data:`METRICS_TASK_KIND` snapshot,
+    so each snapshot contains only *this worker's* activity since the
+    last one — the parent merges pure deltas and never double-counts.
+    Descriptors inherited from the parent are released first.
     """
+    _release_fds(inherited_fds)
     _metrics.registry().reset()
     try:
         _worker_loop(worker_id, task_queue, result_queue)
@@ -94,23 +171,34 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
 
 
 def _worker_loop(worker_id: int, task_queue, result_queue) -> None:
+    # A snapshot ends a run; the wait after it is the gap between runs,
+    # not a queue wait, so it goes unobserved.
+    between_runs = False
     while True:
-        if _metrics.ARMED:
+        if _metrics.ARMED and not between_runs:
             idle_from = time.monotonic()
             item = task_queue.get()
             _QUEUE_WAIT.observe(time.monotonic() - idle_from,
                                 worker=worker_id)
         else:
             item = task_queue.get()
+        between_runs = False
         if item is None:
             return
-        chunk_index, kind, payload = item
+        dispatch_id, kind, payload, armed = item
+        if armed is not None:
+            if armed:
+                _metrics.arm()
+            else:
+                _metrics.disarm()
         if kind == PING_TASK_KIND:
             result_queue.put((worker_id, PING_CHUNK_INDEX, True, _PONG))
             continue
         if kind == METRICS_TASK_KIND:
             result_queue.put((worker_id, METRICS_CHUNK_INDEX, True,
                               _metrics.registry().snapshot()))
+            _metrics.registry().reset()
+            between_runs = True
             continue
         try:
             fn = _TASK_KINDS[kind]
@@ -123,26 +211,29 @@ def _worker_loop(worker_id: int, task_queue, result_queue) -> None:
                 result = fn(payload)
         except BaseException as exc:  # noqa: BLE001 - reported, not raised
             result_queue.put(
-                (worker_id, chunk_index, False,
+                (worker_id, dispatch_id, False,
                  f"{type(exc).__name__}: {exc}")
             )
         else:
-            result_queue.put((worker_id, chunk_index, True, result))
+            result_queue.put((worker_id, dispatch_id, True, result))
 
 
 class _Worker:
     """One pool slot: a process, its private task queue, and its task."""
 
-    def __init__(self, worker_id: int, ctx, result_queue) -> None:
+    def __init__(self, worker_id: int, ctx, result_queue,
+                 follow_armed: bool) -> None:
         self.worker_id = worker_id
+        self.follow_armed = follow_armed
         self.task_queue = ctx.Queue()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.task_queue, result_queue),
+            args=(worker_id, self.task_queue, result_queue,
+                  _inherited_fds(ctx, self.task_queue, result_queue)),
             daemon=True,
         )
         self.process.start()
-        #: (chunk_index, kind, payload, attempts) currently dispatched.
+        #: (dispatch_id, kind, payload, attempts) currently dispatched.
         self.task: Optional[Tuple[int, str, Any, int]] = None
         self.deadline: Optional[float] = None
         #: When the current task was dispatched (chunk-latency metrics
@@ -162,12 +253,16 @@ class _Worker:
     def alive(self) -> bool:
         return self.process.is_alive()
 
-    def dispatch(self, chunk_index: int, kind: str, payload: Any,
+    def dispatch(self, dispatch_id: int, kind: str, payload: Any,
                  attempts: int, timeout: Optional[float]) -> None:
-        self.task = (chunk_index, kind, payload, attempts)
+        self.task = (dispatch_id, kind, payload, attempts)
         self.deadline = (time.monotonic() + timeout) if timeout else None
         self.dispatched_at = time.monotonic()
-        self.task_queue.put((chunk_index, kind, payload))
+        self._send(dispatch_id, kind, payload)
+
+    def _send(self, dispatch_id: int, kind: str, payload: Any) -> None:
+        armed = _metrics.ARMED if self.follow_armed else None
+        self.task_queue.put((dispatch_id, kind, payload, armed))
 
     def finish(self) -> None:
         self.task = None
@@ -180,11 +275,11 @@ class _Worker:
     def send_ping(self, now: float) -> None:
         """Queue a heartbeat; the worker answers when it drains to it."""
         self.ping_sent = now
-        self.task_queue.put((PING_CHUNK_INDEX, PING_TASK_KIND, None))
+        self._send(PING_CHUNK_INDEX, PING_TASK_KIND, None)
 
     def request_metrics(self) -> None:
         """Queue a metrics-snapshot request (answered like a ping)."""
-        self.task_queue.put((METRICS_CHUNK_INDEX, METRICS_TASK_KIND, None))
+        self._send(METRICS_CHUNK_INDEX, METRICS_TASK_KIND, None)
 
     def heard_from(self, now: float) -> None:
         self.last_seen = now
@@ -208,14 +303,21 @@ class _Worker:
 
 
 class WorkerPool:
-    """A fixed-size pool of persistent workers with crash recovery."""
+    """A fixed-size pool of persistent workers with crash recovery.
 
-    def __init__(self, num_workers: int) -> None:
+    With ``follow_armed`` every worker adopts the parent's metrics armed
+    flag at each dispatch; without it a worker keeps the flag it was
+    forked with.
+    """
+
+    def __init__(self, num_workers: int, follow_armed: bool = False) -> None:
         if num_workers < 1:
             raise ValueError(f"need at least one worker: {num_workers}")
+        self.follow_armed = follow_armed
         self._ctx = _mp_context()
         self.result_queue = self._ctx.Queue()
         self._next_id = 0
+        self._dispatch_ids = count()
         self.workers: Dict[int, _Worker] = {}
         #: Consecutive failures per worker, behind the circuit breaker.
         #: They live with the pool, so a persistent pool keeps counting
@@ -225,10 +327,16 @@ class WorkerPool:
             self._spawn()
 
     def _spawn(self) -> _Worker:
-        worker = _Worker(self._next_id, self._ctx, self.result_queue)
+        worker = _Worker(self._next_id, self._ctx, self.result_queue,
+                         self.follow_armed)
         self.workers[self._next_id] = worker
         self._next_id += 1
         return worker
+
+    def next_dispatch_id(self) -> int:
+        """An id no other dispatch of this pool's lifetime carries, so a
+        report left over from an earlier run can never match a new one."""
+        return next(self._dispatch_ids)
 
     def idle_workers(self):
         return [w for w in self.workers.values() if not w.busy and w.alive]
@@ -275,7 +383,7 @@ class WorkerPool:
         return replaced
 
     def poll_result(self, timeout: float) -> Optional[Tuple]:
-        """Next ``(worker_id, chunk_index, ok, payload)`` or None."""
+        """Next ``(worker_id, dispatch_id, ok, payload)`` or None."""
         try:
             return self.result_queue.get(timeout=timeout)
         except Exception:  # queue.Empty (type depends on context)
@@ -320,3 +428,79 @@ class WorkerPool:
 def default_worker_count() -> int:
     """A sensible worker count for this machine (at least 1)."""
     return max(1, os.cpu_count() or 1)
+
+
+# -- the batch front ends' process-lifetime pool --------------------------------
+
+_shared: Optional[WorkerPool] = None
+#: What the shared pool was forked with — (workers, task-registry
+#: generation, environment) — since its workers see only these as of
+#: the fork.  A lease under another key rebuilds the pool.
+_shared_key: Optional[Tuple] = None
+#: Held for the length of one run on the shared pool.
+_shared_lock = threading.Lock()
+
+
+def lease_shared_pool(workers: int) -> Optional[WorkerPool]:
+    """Lease the shared pool of ``workers`` workers for one run.
+
+    Returns None when another thread holds the lease; that caller runs
+    on a private pool instead.  A pool forked under another key is shut
+    down before the new one starts, so at most one exists.  Every lease
+    must end in :func:`return_shared_pool`.
+    """
+    global _shared, _shared_key
+    if not _shared_lock.acquire(blocking=False):
+        return None
+    try:
+        key = (workers, _TASK_GENERATION, dict(os.environ))
+        if _shared is not None and _shared_key != key:
+            shutdown_shared_pool()
+        if _shared is None:
+            _shared = WorkerPool(workers, follow_armed=True)
+            _shared_key = key
+    except BaseException:
+        _shared_lock.release()
+        raise
+    return _shared
+
+
+def return_shared_pool(keep: bool) -> None:
+    """End a lease; ``keep=False`` (a faulted run) retires the pool."""
+    try:
+        if not keep:
+            shutdown_shared_pool()
+    finally:
+        _shared_lock.release()
+
+
+def shared_pool() -> Optional[WorkerPool]:
+    """The live shared pool, or None."""
+    return _shared
+
+
+def shutdown_shared_pool() -> None:
+    """Drain and close the shared pool, if one is live."""
+    global _shared, _shared_key
+    pool, _shared, _shared_key = _shared, None, None
+    if pool is not None:
+        pool.shutdown()
+
+
+def _forget_shared_pool() -> None:
+    """In a forked child the shared pool's workers are the parent's."""
+    global _shared, _shared_key, _shared_lock
+    # Otherwise multiprocessing's exit handler would take them for this
+    # process's children and terminate them.  ``_children`` is CPython's
+    # private set of a process's live children: if a later version
+    # drops it, the fork test sees the parent's workers killed.
+    children = getattr(_mp_process, "_children", None)
+    if _shared is not None and isinstance(children, set):
+        for worker in _shared.workers.values():
+            children.discard(worker.process)
+    _shared = _shared_key = None
+    _shared_lock = threading.Lock()
+
+
+atexit.register(shutdown_shared_pool)
+os.register_at_fork(after_in_child=_forget_shared_pool)

@@ -34,7 +34,12 @@ from .hardening import (
     RetryPolicy,
     WorkKey,
 )
-from .pool import WorkerPool, _TASK_KINDS
+from .pool import (
+    WorkerPool,
+    _TASK_KINDS,
+    lease_shared_pool,
+    return_shared_pool,
+)
 from .results import ChunkQuarantinedError, SpanAssembler
 
 # Parent-side pool metrics.  Chunk latency is dispatch → result as the
@@ -240,8 +245,13 @@ def _run(kind: str, work: SpanDeque, workers: int,
          record: Optional[Callable[[Span, List[Any]], None]],
          key: Callable[[Span], WorkKey],
          transport: str) -> List[QuarantinedChunk]:
-    """Drive ``work`` in process or on a pool of its own; fill
-    ``assembler`` and return the quarantined units."""
+    """Drive ``work`` in process or on the shared pool; fill
+    ``assembler`` and return the quarantined units.
+
+    Only a clean run hands the shared pool on to the next one.  Any
+    fault, raise or interrupt shuts it down, so recovery state (ledger,
+    worker ids, requeues) never outlives the run that produced it.
+    """
     quarantine = QuarantineLog(policy.quarantine_threshold)
     labeled_lanes: set = set()
 
@@ -278,16 +288,22 @@ def _run(kind: str, work: SpanDeque, workers: int,
     if workers <= 1:
         drive(None, work, policy, hooks, stats, quarantine)
     elif work:
-        # Size by the lane groups left, not by the planned spans: a
-        # resumed run's one contiguous gap is one span, and stealing
-        # splits it across every worker the pool has.
-        pool = WorkerPool(min(workers, work.lane_groups()))
+        pool = lease_shared_pool(workers)
+        shared = pool is not None
+        if not shared:
+            # Another thread is running on the shared pool: this run
+            # forks a private one.
+            pool = WorkerPool(workers, follow_armed=True)
+        keep = False
         try:
             drive(pool, work, policy, hooks, stats, quarantine)
-            if _metrics.ARMED:
-                collect_worker_metrics(pool)
+            answered = not _metrics.ARMED or collect_worker_metrics(pool)
+            keep = answered and stats.clean
         finally:
-            pool.shutdown()
+            if shared:
+                return_shared_pool(keep)
+            else:
+                pool.shutdown()
     if _metrics.ARMED:
         for event, value in vars(stats).items():
             if value:

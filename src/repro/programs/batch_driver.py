@@ -695,7 +695,12 @@ def run_many(messages: Sequence[bytes], *,
     Messages are split into chunks, each chunk is hashed in SN-sized
     lock-step batches (SN states per program run, the paper's Table 7/8
     batching), and chunks are distributed across ``workers`` persistent
-    processes.  Digests return in message order; every digest matches
+    processes.  Those workers belong to the process-wide shared pool:
+    the first pooled call forks it, later calls with the same
+    ``workers`` reuse its warm workers, and a call that hits a crash,
+    timeout or task error shuts it down (see
+    :func:`repro.parallel_exec.pool.lease_shared_pool`).  Digests
+    return in message order; every digest matches
     ``hashlib`` (or, for the algorithms hashlib lacks, the pure-Python
     reference).  ``algorithm`` accepts the flat sponge algorithms
     (``sha3_256``, ``shake128``, ``shake256``, the ``k12_leaf``

@@ -237,11 +237,12 @@ class InlineExecutor(_GroupExecutor):
 class PooledExecutor(_GroupExecutor):
     """Batch execution over a *persistent* worker pool.
 
-    Unlike :func:`repro.run_many` (which builds a pool per call), the
-    serving executor keeps its workers alive across batches — warm
-    Sessions, predecoded programs and compiled kernels survive — and
-    recovers in place: crashes/timeouts retry on another worker,
-    breaker trips rolling-restart the offending worker, and
+    Unlike :func:`repro.run_many` (whose shared pool is retired by any
+    faulted run), the serving executor owns its pool and keeps its
+    workers alive across batches — warm Sessions, predecoded programs
+    and compiled kernels survive — and recovers in place:
+    crashes/timeouts retry on another worker, breaker trips
+    rolling-restart the offending worker, and
     :meth:`restart_workers` cycles the whole pool one worker at a time
     without dropping a batch (the batch lock serializes with it).
     """
