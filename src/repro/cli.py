@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .assembler import assemble, disassemble
 from .keccak.hashes import SHA3_VARIANTS, SHAKE_VARIANTS
@@ -808,8 +808,24 @@ _HANDLERS = {
 }
 
 
+#: The parser of :func:`main`, built on first use and kept for the
+#: process, with the engine names its ``--engine`` choices were built
+#: from: an engine registered later rebuilds it.
+_PARSER: Optional[Tuple[Tuple[str, ...], argparse.ArgumentParser]] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    global _PARSER
+    from .sim import engines
+
+    names = engines.names()
+    if _PARSER is None or _PARSER[0] != names:
+        _PARSER = (names, build_parser())
+    return _PARSER[1]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (OSError, ValueError, LookupError) as exc:

@@ -354,7 +354,6 @@ def arena_pool() -> ArenaPool:
     global _POOL
     if _POOL is None:
         _POOL = ArenaPool()
-        atexit.register(_POOL.close_all)
     return _POOL
 
 
@@ -362,6 +361,21 @@ def close_all() -> None:
     """Unlink every segment the process-wide pool owns (idempotent)."""
     if _POOL is not None:
         _POOL.close_all()
+
+
+def _forget_pool() -> None:
+    """In a forked child the pool's segments are the parent's.
+
+    Drop the inherited pool without unlinking anything, so the child's
+    exit hook (which reads the current ``_POOL``) leaves the parent's
+    live segments alone and a shm run in the child creates its own.
+    """
+    global _POOL
+    _POOL = None
+
+
+atexit.register(close_all)
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 # -- the worker side --------------------------------------------------------------

@@ -14,6 +14,7 @@ Implements the paper's memory/register allocation figures:
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence
 
 from ..keccak.interleave import join_hi_lo, split_hi_lo
@@ -108,15 +109,20 @@ def read_states_regfile32(regfile: VectorRegfile, num_states: int,
 
 
 def memory_image64(states: Sequence[KeccakState], elenum: int) -> bytes:
-    """Serialize states into the Fig. 5 memory layout (5 rows x EleNum lanes)."""
+    """Serialize states into the Fig. 5 memory layout (5 rows x EleNum lanes).
+
+    A plane of a state is a contiguous run of 5 lanes both in the state
+    and in its memory row, so each state goes in as 5 row slices and
+    the whole image is packed in one call.
+    """
     check_capacity(elenum, len(states))
-    image = bytearray(5 * elenum * 8)
+    lanes = [0] * (5 * elenum)
     for s, state in enumerate(states):
+        flat = state.lanes
         for y in range(5):
-            for x in range(5):
-                offset = (y * elenum + 5 * s + x) * 8
-                image[offset : offset + 8] = state[x, y].to_bytes(8, "little")
-    return bytes(image)
+            start = y * elenum + 5 * s
+            lanes[start : start + 5] = flat[5 * y : 5 * y + 5]
+    return struct.pack(f"<{5 * elenum}Q", *lanes)
 
 
 def parse_memory_image64(data: bytes, elenum: int,
@@ -126,15 +132,14 @@ def parse_memory_image64(data: bytes, elenum: int,
     expected = 5 * elenum * 8
     if len(data) < expected:
         raise ValueError(f"image too small: {len(data)} < {expected}")
+    lanes = struct.unpack_from(f"<{5 * elenum}Q", data)
     states = []
     for s in range(num_states):
-        state = KeccakState()
+        flat: List[int] = []
         for y in range(5):
-            for x in range(5):
-                offset = (y * elenum + 5 * s + x) * 8
-                state[x, y] = int.from_bytes(data[offset : offset + 8],
-                                             "little")
-        states.append(state)
+            start = y * elenum + 5 * s
+            flat += lanes[start : start + 5]
+        states.append(KeccakState(flat))
     return states
 
 

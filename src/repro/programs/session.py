@@ -190,8 +190,13 @@ class Session:
         #: arguments override it.
         self.engine = validate_engine(engine)
         self._processors: Dict[Tuple[int, int], SIMDProcessor] = {}
-        self._xof_programs: Dict[Tuple[int, int, int, int],
-                                 KeccakProgram] = {}
+        #: Memory-IO programs keyed by (ELEN, LMUL, EleNum, rounds):
+        #: one per geometry, so repeat permutations of the sponge front
+        #: ends hit the processor's predecode cache.  Cached here rather
+        #: than in ``build_program``, so a caller that builds its own
+        #: program (and may mutate its words in place) never shares it.
+        self._programs: Dict[Tuple[int, int, int, int],
+                             KeccakProgram] = {}
 
     def processor(self, elen: int, elenum: int) -> SIMDProcessor:
         """The session's processor for one architecture (created lazily)."""
@@ -324,17 +329,23 @@ class Session:
         ``num_rounds`` select any sponge in the family (e.g. a
         TurboSHAKE domain byte with ``num_rounds=12``).
         """
+        program = self._memory_io_program(elen, lmul, elenum, num_rounds)
+        return SessionXof(self, program, capacity_bits, suffix,
+                          data=data, engine=engine)
+
+    def _memory_io_program(self, elen: int, lmul: int, elenum: int,
+                           num_rounds: int) -> KeccakProgram:
+        """This session's memory-IO program for one geometry (built once)."""
         key = (elen, lmul, elenum, num_rounds)
-        program = self._xof_programs.get(key)
+        program = self._programs.get(key)
         if program is None:
             from .factory import build_program
 
             program = build_program(elen, lmul, elenum,
                                     include_memory_io=True,
                                     num_rounds=num_rounds)
-            self._xof_programs[key] = program
-        return SessionXof(self, program, capacity_bits, suffix,
-                          data=data, engine=engine)
+            self._programs[key] = program
+        return program
 
     def warm(self, program: KeccakProgram) -> bool:
         """Pre-compile ``program`` for the compiled engine.

@@ -17,35 +17,40 @@ from typing import Optional
 
 from ..keccak.sponge import SHA3_SUFFIX, SHAKE_SUFFIX, Sponge
 from ..keccak.state import KeccakState
-from .factory import build_program
+from ..sim.processor import validate_engine
 from .base import KeccakProgram
-from .session import Session
+from .session import default_session
 
 
 class SimulatedPermutation:
     """A Keccak-f[1600] callable backed by the processor simulator.
 
-    Reuses one :class:`~repro.programs.session.Session` across calls (so
-    the program is decoded once) and accumulates cycle counts.
+    Every call is one :meth:`~repro.programs.session.Session.run` on the
+    process default session (:func:`~repro.programs.session.default_session`),
+    so its warm processor and predecoded program are shared with every
+    other permutation of the same geometry in the process.  Without an
+    explicit ``program`` the memory-IO program comes from that session's
+    per-geometry cache.  Each instance keeps its own ``call_count`` and
+    ``total_cycles``.
     """
 
     def __init__(self, elen: int = 64, lmul: int = 8, elenum: int = 5,
                  program: Optional[KeccakProgram] = None,
                  num_rounds: int = 24, engine: str = "auto") -> None:
-        self.program = program or build_program(
-            elen, lmul, elenum, include_memory_io=True,
-            num_rounds=num_rounds,
-        )
+        self.engine = validate_engine(engine)
+        self._session = default_session()
+        self.program = program or self._session._memory_io_program(
+            elen, lmul, elenum, num_rounds)
         if self.program.state_base is None:
             raise ValueError(
                 "the simulated permutation needs a memory-IO program"
             )
-        self._session = Session(engine=engine)
         self.call_count = 0
         self.total_cycles = 0
 
     def __call__(self, state: KeccakState) -> KeccakState:
-        result = self._session.run(self.program, [state])
+        result = self._session.run(self.program, [state],
+                                   engine=self.engine)
         self.call_count += 1
         self.total_cycles += result.stats.cycles
         return result.states[0]

@@ -13,13 +13,26 @@ _WIDTH_BYTES = {8: 1, 16: 2, 32: 4, 64: 8}
 
 
 class DataMemory:
-    """Byte-addressable little-endian RAM with bounds checking."""
+    """Byte-addressable little-endian RAM with bounds checking.
+
+    The memory remembers the byte range written since the last
+    :meth:`clear` (``store`` and ``store_bytes`` widen it), so a clear
+    zeroes only that range in place: a processor reset between two
+    Keccak runs touches the 200-odd bytes of the state image, not the
+    whole 1 MiB.
+    """
+
+    __slots__ = ("size", "_bytes", "_lo", "_hi")
 
     def __init__(self, size: int = 1 << 20) -> None:
         if size <= 0:
             raise ValueError(f"memory size must be positive, got {size}")
         self.size = size
         self._bytes = bytearray(size)
+        #: Written range ``[_lo, _hi)`` since the last clear; empty when
+        #: ``_lo >= _hi``.
+        self._lo = size
+        self._hi = 0
 
     def _check(self, address: int, nbytes: int) -> None:
         if address < 0 or address + nbytes > self.size:
@@ -35,9 +48,10 @@ class DataMemory:
         nbytes = _WIDTH_BYTES.get(width)
         if nbytes is None:
             raise ValueError(f"unsupported access width: {width}")
-        self._check(address, nbytes)
-        value = int.from_bytes(self._bytes[address : address + nbytes],
-                               "little")
+        end = address + nbytes
+        if address < 0 or end > self.size:
+            self._check(address, nbytes)
+        value = int.from_bytes(self._bytes[address:end], "little")
         if signed and value >= 1 << (width - 1):
             value -= 1 << width
         return value
@@ -47,10 +61,16 @@ class DataMemory:
         nbytes = _WIDTH_BYTES.get(width)
         if nbytes is None:
             raise ValueError(f"unsupported access width: {width}")
-        self._check(address, nbytes)
-        self._bytes[address : address + nbytes] = (
+        end = address + nbytes
+        if address < 0 or end > self.size:
+            self._check(address, nbytes)
+        self._bytes[address:end] = (
             value & ((1 << width) - 1)
         ).to_bytes(nbytes, "little")
+        if address < self._lo:
+            self._lo = address
+        if end > self._hi:
+            self._hi = end
 
     # -- bulk accessors ----------------------------------------------------------
 
@@ -61,9 +81,21 @@ class DataMemory:
 
     def store_bytes(self, address: int, data: bytes) -> None:
         """Write raw bytes."""
-        self._check(address, len(data))
-        self._bytes[address : address + len(data)] = data
+        length = len(data)
+        self._check(address, length)
+        if not length:
+            return
+        end = address + length
+        self._bytes[address:end] = data
+        if address < self._lo:
+            self._lo = address
+        if end > self._hi:
+            self._hi = end
 
     def clear(self) -> None:
-        """Zero the whole memory."""
-        self._bytes = bytearray(self.size)
+        """Zero the whole memory (in place: only the written range)."""
+        lo, hi = self._lo, self._hi
+        if lo < hi:
+            self._bytes[lo:hi] = bytes(hi - lo)
+        self._lo = self.size
+        self._hi = 0

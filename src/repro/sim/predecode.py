@@ -97,9 +97,8 @@ class PredecodedProgram:
         return (
             program is self.program
             and program.base_address == self.base_address
-            and len(program.instructions) == len(self.words)
-            and all(inst.word == word for inst, word
-                    in zip(program.instructions, self.words))
+            and tuple([inst.word for inst in program.instructions])
+            == self.words
         )
 
     def entry_at(self, pc: int) -> Optional[DecodedInstruction]:

@@ -363,3 +363,42 @@ class TestCrashLifecycle:
         assert "leaked" not in proc.stderr, proc.stderr
         leaked = set(glob.glob("/dev/shm/repro_shm_*")) - before
         assert not leaked, f"segments left behind: {sorted(leaked)}"
+
+    def test_forked_child_exit_keeps_the_parents_segments(self):
+        """A child made by ``os.fork()`` inherits the arena pool; its
+        normal exit must not unlink the parent's live segments, and the
+        parent's next shm run must still hash correctly."""
+        script = textwrap.dedent("""
+            import glob, hashlib, os, sys
+            from repro.parallel_exec import shm
+            from repro.programs import run_many
+
+            messages = [bytes([n % 251]) * (13 + n % 89)
+                        for n in range(96)]
+            expected = [hashlib.sha3_256(m).digest() for m in messages]
+            assert run_many(messages, workers=2, engine="reference",
+                            transport="shm") == expected
+            pattern = f"/dev/shm/repro_shm_{os.getpid()}_*"
+            segments = sorted(glob.glob(pattern))
+            assert segments, "the shm run left no pooled segment"
+            pid = os.fork()
+            if pid == 0:
+                sys.exit(0)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert sorted(glob.glob(pattern)) == segments, \\
+                "the child's exit unlinked the parent's segments"
+            assert run_many(messages, workers=2, engine="reference",
+                            transport="shm") == expected
+            shm.close_all()
+            assert not glob.glob(pattern)
+            print("FORKTEST-OK")
+        """)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(shm.__file__))))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "FORKTEST-OK" in proc.stdout

@@ -33,6 +33,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["hash", "sha3_256"])
 
+    def test_main_parser_built_once_and_tracks_engines(self, capsys):
+        from repro import cli
+        from repro.sim import engines
+
+        assert cli._parser() is cli._parser()
+        engines.register(engines.EngineSpec(
+            name="latecomer", caps=engines.EngineCaps(),
+            runner=lambda proc, pre, mi, mc: proc._run_predecoded(
+                pre, mi, mc),
+            requires_predecode=True, priority=5))
+        try:
+            assert main(["hash", "sha3_256", "--string", "abc",
+                         "--simulate", "--engine", "latecomer"]) == 0
+            assert capsys.readouterr().out.strip() == \
+                hashlib.sha3_256(b"abc").hexdigest()
+        finally:
+            engines.unregister("latecomer")
+        with pytest.raises(SystemExit):
+            main(["hash", "sha3_256", "--string", "abc",
+                  "--engine", "latecomer"])
+
 
 class TestHashCommand:
     def test_string_digest(self, capsys):
@@ -65,6 +86,79 @@ class TestHashCommand:
                      "--elen", "32"]) == 0
         out = capsys.readouterr().out.strip()
         assert out == hashlib.sha3_256(b"q").hexdigest()
+
+
+class TestSimulatedHashReuse:
+    """Repeat ``hash --simulate`` calls in one process share the default
+    session (and one parser) but stay independent of each other."""
+
+    # (algorithm, message bytes, --length, --elen, --lmul, --engine)
+    CASES = [
+        ("sha3_256", 300, None, 64, 8, "compiled"),
+        ("shake_128", 20, 700, 64, 1, "predecoded"),
+        ("sha3_256", 0, None, 32, 8, "stepped"),
+        ("shake_128", 200, 64, 64, 8, "compiled"),
+        ("sha3_256", 137, None, 64, 1, "compiled"),
+        ("shake_128", 5, 400, 32, 8, "predecoded"),
+        ("sha3_256", 300, None, 64, 8, "compiled"),
+    ]
+
+    @staticmethod
+    def _one_run_cycles(elen, lmul, engine):
+        from repro.keccak import KeccakState
+        from repro.programs import build_program
+        from repro.programs.session import Session
+
+        program = build_program(elen, lmul, 5, include_memory_io=True)
+        return Session().run(program, [KeccakState()],
+                             engine=engine).stats.cycles
+
+    def test_mixed_invocations_in_one_process(self, tmp_path, capsys):
+        import re
+
+        for index, (algorithm, size, length, elen, lmul, engine) in \
+                enumerate(self.CASES):
+            message = bytes((index * 31 + i) % 256 for i in range(size))
+            path = tmp_path / f"m{index}.bin"
+            path.write_bytes(message)
+            argv = ["hash", algorithm, "--file", str(path), "--simulate",
+                    "--elen", str(elen), "--lmul", str(lmul),
+                    "--engine", engine]
+            if length is None:
+                expected = hashlib.sha3_256(message).hexdigest()
+                rate, out_bytes = 136, 32
+            else:
+                argv += ["--length", str(length)]
+                expected = hashlib.shake_128(message).hexdigest(length)
+                rate, out_bytes = 168, length
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.out.strip() == expected
+            counts = re.search(r"# (\d+) permutations, (\d+) simulated",
+                               captured.err)
+            perms, cycles = int(counts.group(1)), int(counts.group(2))
+            assert perms == size // rate + 1 + (-(-out_bytes // rate) - 1)
+            assert cycles == perms * self._one_run_cycles(elen, lmul, engine)
+            # An unrelated command between the simulated ones.
+            assert main(["run", "--elen", "64", "--lmul", "8"]) == 0
+            capsys.readouterr()
+
+    def test_permutations_count_separately_on_the_shared_session(self):
+        from repro.keccak import KeccakState, keccak_f1600
+        from repro.programs import SimulatedPermutation
+        from repro.programs.session import default_session
+
+        first = SimulatedPermutation(elen=64, lmul=8, elenum=5)
+        second = SimulatedPermutation(elen=64, lmul=8, elenum=5,
+                                      engine="stepped")
+        assert first._session is second._session is default_session()
+        assert first.program is second.program
+        state = KeccakState(list(range(25)))
+        assert first(state) == keccak_f1600(state)
+        assert second(state) == keccak_f1600(state)
+        assert first(state) == keccak_f1600(state)
+        assert (first.call_count, second.call_count) == (2, 1)
+        assert first.total_cycles == 2 * second.total_cycles > 0
 
 
 class TestRunCommand:
