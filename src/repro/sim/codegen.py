@@ -16,6 +16,10 @@ specialized Python function:
 * every immediate, ρ-rotation row, round constant and shift/mask plan
   folded into the source as literals (a ``viota`` becomes a single XOR
   with a precomputed broadcast constant);
+* whole registers moved at once where the geometry allows: a vector
+  load or store over contiguous addresses is one memory-row slice per
+  register, and a ``vpi.vi`` that overwrites its whole destination group
+  is one OR of five lanes per destination register;
 * cycle/instruction/mnemonic accounting reduced to constant increments
   applied once at the end, bit-identical to the fused engine's batched
   ``stats`` flushes.
@@ -85,7 +89,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: chaining, dispatch override), not just the base CycleModel fields — a
 #: kernel compiled under one timing model bakes that model's cycle
 #: increments into flat code and must never be served under another.
-CODEGEN_VERSION = 2
+#: v3: contiguous vector loads/stores move one memory row per register,
+#: and a ``vpi.vi``/``vrhopi.vi`` that overwrites its whole destination
+#: group builds each register as one expression.
+CODEGEN_VERSION = 3
 
 #: Compiled kernels (or None for programs that cannot be compiled) kept
 #: in this process, keyed by fingerprint.
@@ -115,6 +122,19 @@ _COMPILE_SECONDS = _metrics.registry().histogram(
     "Time to symbolically compile one program")
 
 _MISS = object()
+
+#: Memory accessors a kernel that touches memory binds, by local name.
+#: Whole-row vector accesses read the memory's byte array directly and
+#: write rows through ``store_bytes`` (bounds check and written-range
+#: tracking included); ``_ld``/``_st`` serve scalar stores and the
+#: per-element fallback for other strides.
+_BINDS = {
+    "_mem": "proc.memory._bytes",
+    "_fb": "int.from_bytes",
+    "_sb": "proc.memory.store_bytes",
+    "_ld": "proc.memory.load",
+    "_st": "proc.memory.store",
+}
 
 _BITWISE_OPS = {
     "vand": ("&", lambda a, b: a & b),
@@ -823,28 +843,44 @@ class _Generator:
         if overlap and passes > 1:
             raise _Bail  # write-through re-read semantics: generic only
         rows = self._rho_rows(ops["imm"], passes)
-        sew = self.sew
         mnemonic = "vrhopi.vi" if with_rho else "vpi.vi"
+
+        def term(src: str, row: int, lane: int) -> str:
+            # Source lane ``lane`` of row ``row``, rho-rotated if asked,
+            # moved into the destination's lane slot ``row``.
+            amount = RHO_BY_ROW[row][lane] if with_rho else 0
+            expr = self._rotate_terms(src, amount, self.sew, (lane,),
+                                      per_reg)
+            delta = (row - lane) * self.sew
+            if delta > 0:
+                return f"({expr} << {delta})"
+            if delta < 0:
+                return f"({expr} >> {-delta})"
+            return expr
+
+        if not overlap and sorted(rows) == [0, 1, 2, 3, 4]:
+            # The five rows overwrite every lane slot of all five
+            # destination registers: build each one whole, straight
+            # from the untouched sources.
+            planes: Dict[int, List[str]] = {}
+            for p, row in enumerate(rows):
+                for lane in range(5):
+                    planes.setdefault((2 * (lane - row)) % 5, []).append(
+                        term(f"r{vs2 + p}", row, lane))
+            for plane in range(5):
+                self._emit(f"r{vd + plane} = " + " | ".join(planes[plane]))
+            self._account(mnemonic, self.cm.vector_pi(passes))
+            return
         full = self._full_mask()
         for p, row in enumerate(rows):
-            amounts = RHO_BY_ROW[row]
             # Snapshot the source register: with a single overlapping
             # pass the plane updates below may write into it.
             self._emit(f"_t = r{vs2 + p}")
             clear = hex(full ^ self._lane_mask(per_reg, (row,)))
             for lane in range(5):
                 plane = (2 * (lane - row)) % 5
-                amount = amounts[lane] if with_rho else 0
-                expr = self._rotate_terms("_t", amount, sew, (lane,),
-                                          per_reg)
-                delta = (row - lane) * sew
-                if delta > 0:
-                    expr = f"({expr} << {delta})"
-                elif delta < 0:
-                    expr = f"({expr} >> {-delta})"
-                self._emit(
-                    f"r{vd + plane} = (r{vd + plane} & {clear}) | {expr}"
-                )
+                self._emit(f"r{vd + plane} = (r{vd + plane} & {clear}) | "
+                           f"{term('_t', row, lane)}")
         self._account(mnemonic, self.cm.vector_pi(passes))
 
     def _vec_v32pair(self, ops, keep_high: bool, is_rho: bool,
@@ -919,53 +955,62 @@ class _Generator:
         passes = 1 if vl == 0 else -(-vl // per_reg)
         return per_reg, passes
 
-    def _vec_load(self, spec, ops) -> None:
+    def _vec_rows(self, spec, ops):
+        """Register passes of one unit/strided access: ``(rows,
+        contiguous, passes)``, where ``rows`` pairs each register the
+        access touches with its element addresses and ``contiguous``
+        says every address follows the previous one (a row of memory
+        per register)."""
         width = spec.extra["width"]
         per_reg, passes = self._vec_mem_geometry(width)
-        vd = ops["vd"]
-        if vd + passes > 32:
+        base_reg = ops["vd"]  # stores carry their data register here too
+        if base_reg + passes > 32:
             raise _Bail
         addresses = self._vec_addresses(spec, ops)
         self.uses_memory = True
-        emask = (1 << width) - 1
-        for p in range(passes):
-            count = min(per_reg, self.vl - p * per_reg)
-            if count <= 0:
-                continue
-            terms = []
-            for i in range(count):
-                address = addresses[p * per_reg + i]
-                term = f"_ld({address}, {width})"
-                if i:
-                    term = f"({term} << {i * width})"
-                terms.append(term)
-            packed = " | ".join(terms)
-            if count < per_reg:
-                keep = ((1 << self.vlen) - 1) ^ ((1 << (count * width)) - 1)
-                self._emit(
-                    f"r{vd + p} = (r{vd + p} & {hex(keep)}) | ({packed})"
-                )
+        contiguous = all(b - a == width // 8
+                         for a, b in zip(addresses, addresses[1:]))
+        rows = [(base_reg + p, addresses[p * per_reg:(p + 1) * per_reg])
+                for p in range(passes) if p * per_reg < self.vl]
+        return rows, contiguous, passes
+
+    def _vec_load(self, spec, ops) -> None:
+        width = spec.extra["width"]
+        rows, contiguous, passes = self._vec_rows(spec, ops)
+        for reg, addresses in rows:
+            bits = len(addresses) * width
+            if contiguous:
+                start = addresses[0]
+                packed = f"_fb(_mem[{start}:{start + bits // 8}], 'little')"
             else:
-                self._emit(f"r{vd + p} = {packed}")
-        del emask
+                packed = " | ".join(
+                    f"(_ld({address}, {width}) << {i * width})" if i
+                    else f"_ld({address}, {width})"
+                    for i, address in enumerate(addresses))
+            if bits < self.vlen:
+                keep = self._full_mask() ^ ((1 << bits) - 1)
+                self._emit(f"r{reg} = (r{reg} & {hex(keep)}) | ({packed})")
+            else:
+                self._emit(f"r{reg} = {packed}")
         self._account(spec.mnemonic, self.cm.vector_memory(passes))
 
     def _vec_store(self, spec, ops) -> None:
         width = spec.extra["width"]
-        per_reg, passes = self._vec_mem_geometry(width)
-        vs3 = ops["vd"]  # store data register reuses the vd field
-        if vs3 + passes > 32:
-            raise _Bail
-        addresses = self._vec_addresses(spec, ops)
-        self.uses_memory = True
+        rows, contiguous, passes = self._vec_rows(spec, ops)
         emask = hex((1 << width) - 1)
-        for i, address in enumerate(addresses):
-            p, slot = divmod(i, per_reg)
-            if slot:
-                value = f"(r{vs3 + p} >> {slot * width}) & {emask}"
-            else:
-                value = f"r{vs3 + p} & {emask}"
-            self._emit(f"_st({address}, {width}, {value})")
+        for reg, addresses in rows:
+            bits = len(addresses) * width
+            if contiguous:
+                # One bounds-checked, range-tracked row write.
+                value = f"r{reg}" if bits == self.vlen \
+                    else f"(r{reg} & {hex((1 << bits) - 1)})"
+                self._emit(f"_sb({addresses[0]}, "
+                           f"{value}.to_bytes({bits // 8}, 'little'))")
+                continue
+            for slot, address in enumerate(addresses):
+                value = f"(r{reg} >> {slot * width}) & {emask}" if slot \
+                    else f"r{reg} & {emask}"
+                self._emit(f"_st({address}, {width}, {value})")
         self._account(spec.mnemonic, self.cm.vector_memory(passes))
 
     # -- rendering ---------------------------------------------------------------
@@ -994,8 +1039,8 @@ class _Generator:
             f"    {names} = _regs",
         ]
         if self.uses_memory:
-            out.append("    _ld = proc.memory.load")
-            out.append("    _st = proc.memory.store")
+            out.extend(f"    {name} = {value}"
+                       for name, value in _BINDS.items())
         out.extend(f"    {line}" for line in self.lines)
         out.append(f"    _regs[:] = ({names})")
         if self.written:

@@ -163,9 +163,14 @@ class PlanStep:
 
 _REGISTRY: Dict[str, EngineSpec] = {}
 
+#: ``auto``'s processor engines by descending priority; rebuilt on the
+#: first plan after the registry changes.
+_AUTO_CHAIN: Optional[Tuple[EngineSpec, ...]] = None
+
 
 def register(spec: EngineSpec, replace: bool = False) -> EngineSpec:
     """Add a backend; ``replace=True`` swaps an existing registration."""
+    global _AUTO_CHAIN
     if spec.name == AUTO:
         raise ValueError("'auto' is the selection policy, not an engine")
     if spec.runner is None and spec.run_states is None:
@@ -174,12 +179,15 @@ def register(spec: EngineSpec, replace: bool = False) -> EngineSpec:
     if spec.name in _REGISTRY and not replace:
         raise ValueError(f"engine already registered: {spec.name!r}")
     _REGISTRY[spec.name] = spec
+    _AUTO_CHAIN = None
     return spec
 
 
 def unregister(name: str) -> None:
     """Remove a backend (tests registering throwaway engines)."""
+    global _AUTO_CHAIN
     _REGISTRY.pop(name, None)
+    _AUTO_CHAIN = None
 
 
 def names() -> Tuple[str, ...]:
@@ -244,19 +252,24 @@ def plan(engine: str, ctx: RunContext) -> List[PlanStep]:
     exactly like the old if/else chain; capability mismatches become
     blocked steps so the processor can meter the fallback reason.
     """
+    global _AUTO_CHAIN
+    chain: Sequence[EngineSpec]
     if engine == AUTO:
-        chain: List[EngineSpec] = sorted(
-            (s for s in _REGISTRY.values() if s.runner is not None),
-            key=lambda s: -s.priority)
+        if _AUTO_CHAIN is None:
+            _AUTO_CHAIN = tuple(sorted(
+                (s for s in _REGISTRY.values() if s.runner is not None),
+                key=lambda s: -s.priority))
+        chain = _AUTO_CHAIN
     else:
-        chain = []
+        links: List[EngineSpec] = []
         seen = set()
         cursor: Optional[str] = engine
         while cursor is not None and cursor not in seen:
             seen.add(cursor)
             spec = get(cursor)
-            chain.append(spec)
+            links.append(spec)
             cursor = spec.fallback
+        chain = links
     steps: List[PlanStep] = []
     for spec in chain:
         if not _structurally_available(spec, ctx):

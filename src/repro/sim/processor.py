@@ -149,10 +149,11 @@ class SIMDProcessor:
         is free — the batch-hashing and sweep pattern.
         """
         self._program = program
-        self._program_words = {
-            inst.address: inst.word for inst in program.instructions
-        }
-        if self._predecode_enabled:
+        if not self._predecode_enabled:
+            self._program_words = {
+                inst.address: inst.word for inst in program.instructions
+            }
+        else:
             cached = self._predecode_cache.get(id(program))
             if cached is None or not cached.matches(program):
                 if _metrics.ARMED:
@@ -166,6 +167,12 @@ class SIMDProcessor:
                 self._predecode_cache.put(id(program), cached)
             elif _metrics.ARMED:
                 _PREDECODE_CACHE.inc(event="hit")
+            if cached is not self._predecoded:
+                # A predecode stands for one word snapshot: rebuild the
+                # pc -> word map only when that snapshot changes.
+                self._program_words = dict(zip(
+                    (inst.address for inst in program.instructions),
+                    cached.words))
             self._predecoded = cached
         self.scalar.pc = program.base_address
         self.halted = False

@@ -11,9 +11,12 @@ push execution back onto the reference engines transparently.
 """
 
 import os
+import random
+import re
 
 import pytest
 
+from repro.assembler import assemble
 from repro.keccak import keccak_f1600
 from repro.programs import build_program, layout
 from repro.programs.session import Session
@@ -314,6 +317,123 @@ class TestFallback:
         assert codegen.COMPILE_STATS["compiles"] == before + 1
         out = layout.read_states_regfile64(proc.vector.regfile, 1)[0]
         assert out == keccak_f1600(random_state)
+
+
+def _kernel_body(proc):
+    """The generated statements of ``proc``'s program, without the
+    register unpack, the accessor bindings and the write-back."""
+    lines = codegen.warm(proc).source.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("    r0, r1, ")) + 1
+    end = lines.index("    _regs[:] = (" + ", ".join(
+        f"r{i}" for i in range(32)) + ")")
+    return [line.strip() for line in lines[start:end]
+            if line.split(" = ")[0].strip() not in codegen._BINDS]
+
+
+class TestEmitterShape:
+    """Whole-row memory moves and whole-register pi, read off the source."""
+
+    @pytest.mark.parametrize("elenum", (5, 30))
+    def test_memory_io_kernel_moves_whole_rows(self, elenum):
+        program = build_program(64, 8, elenum, include_memory_io=True)
+        proc = SIMDProcessor(elen=64, elenum=elenum)
+        proc.load_program(program.assemble())
+        body = "\n".join(_kernel_body(proc))
+        assert "_ld(" not in body and "_st(" not in body
+        assert body.count("_fb(_mem[") == 5  # one per state row
+        assert body.count("_sb(") == 5
+        assert "_t = " not in body  # every vpi.vi builds whole registers
+
+    @pytest.mark.parametrize("mnemonic", ("vpi.vi", "vrhopi.vi"))
+    def test_column_write_emits_five_whole_registers(self, mnemonic):
+        proc = SIMDProcessor(elen=64, elenum=5)
+        proc.load_program(assemble(f"""
+            li t0, 25
+            vsetvli x0, t0, e64, m8, tu, mu
+            {mnemonic} v8, v0, -1
+            ecall
+        """))
+        body = _kernel_body(proc)
+        assert [line.split(" = ")[0] for line in body] == \
+            [f"r{reg}" for reg in range(8, 13)]
+        for line in body:
+            target, expression = line.split(" = ", 1)
+            assert not re.search(rf"\b{target}\b", expression), line
+
+
+class TestKeptFallbackPaths:
+    """Accesses the whole-row and whole-register emitters leave to the
+    per-element and read-modify-write paths still match stepped."""
+
+    DATA_BASE = 0x1000
+
+    def _check(self, source, marker, assert_same_state, compiled_runs):
+        assembled = assemble(source)
+        rng = random.Random(source)
+        registers = [rng.getrandbits(64 * 5) for _ in range(32)]
+        data = rng.randbytes(512)
+        procs = []
+        for engine in ("compiled", "stepped"):
+            proc = SIMDProcessor(elen=64, elenum=5, engine=engine)
+            proc.load_program(assembled)
+            for reg, value in enumerate(registers):
+                proc.vector.regfile.write_raw(reg, value)
+            proc.memory.store_bytes(self.DATA_BASE, data)
+            procs.append(proc)
+        assert marker in "\n".join(_kernel_body(procs[0]))
+        for proc in procs:
+            proc.run()
+        assert compiled_runs() == 1
+        assert_same_state(procs[1], procs[0])
+        # Rows written outside the seeded range are cleared by reset.
+        procs[0].reset()
+        size = procs[0].memory.size
+        assert procs[0].memory.load_bytes(0, size) == bytes(size)
+
+    def test_partial_register_loads_and_stores(self, assert_same_state,
+                                               compiled_runs):
+        self._check("""
+            li a0, 0x1000
+            li a1, 0x2000
+            li t0, 3
+            vsetvli x0, t0, e64, m1, tu, mu
+            vle64.v v1, (a0)
+            vse64.v v2, (a1)
+            li t0, 12
+            vsetvli x0, t0, e64, m8, tu, mu
+            vle64.v v8, (a0)
+            vse64.v v16, (a1)
+            ecall
+        """, "(r10 & 0x", assert_same_state, compiled_runs)
+
+    def test_strided_accesses_go_per_element(self, assert_same_state,
+                                             compiled_runs):
+        self._check("""
+            li a0, 0x1000
+            li a1, 0x2000
+            li a2, 0x3000
+            li t0, 5
+            li t1, 24
+            li t2, 8
+            vsetvli x0, t0, e64, m1, tu, mu
+            vlse64.v v3, (a0), t1
+            vsse64.v v4, (a1), t1
+            vsse64.v v5, (a2), x0
+            vlse64.v v6, (a0), t2
+            ecall
+        """, "_st(12288, 64,", assert_same_state, compiled_runs)
+
+    def test_overlapping_and_single_row_pi(self, assert_same_state,
+                                           compiled_runs):
+        self._check("""
+            li t0, 5
+            vsetvli x0, t0, e64, m1, tu, mu
+            vpi.vi v0, v2, 1
+            vrhopi.vi v10, v12, 3
+            vpi.vi v20, v3, 4
+            ecall
+        """, "_t = r2", assert_same_state, compiled_runs)
 
 
 class TestEngineSelection:

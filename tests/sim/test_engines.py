@@ -228,6 +228,31 @@ class TestThirdPartyBackends:
         finally:
             engines.unregister("flaky")
 
+    def test_auto_plan_sees_registry_changes_between_runs(self, armed,
+                                                          random_state):
+        # ``auto`` keeps its priority order between runs; registering or
+        # unregistering an engine must reach the very next run's plan.
+        program = build_program(64, 8, 5)
+        session = Session()
+        expected = [keccak_f1600(random_state)]
+        assert session.run(program, [random_state]).states == expected
+        engines.register(_spec("eager", priority=100))
+        try:
+            ctx = engines.RunContext(has_predecode=True, fuse_enabled=True)
+            assert engines.plan("auto", ctx)[0].spec.name == "eager"
+            assert session.run(program, [random_state]).states == expected
+            runs = armed.get("sim_runs_total")
+            assert runs.value(engine="eager") == 1
+            engines.register(_spec("eager", priority=1), replace=True)
+            assert session.run(program, [random_state]).states == expected
+            assert runs.value(engine="eager") == 1
+        finally:
+            engines.unregister("eager")
+        assert "eager" not in [
+            step.spec.name for step in engines.plan("auto", ctx)]
+        assert session.run(program, [random_state]).states == expected
+        assert armed.get("sim_runs_total").value(engine="compiled") == 3
+
     def test_functional_backend_bypasses_the_processor(self,
                                                        random_states):
         # A functional engine transforms states directly; Session must

@@ -252,6 +252,30 @@ class TestPredecodeCache:
         finally:
             assembled.instructions[10].word = original
 
+    def test_word_map_follows_the_word_snapshot(self):
+        # The pc -> word map the stepped decoder fetches from is rebuilt
+        # only when the predecoded snapshot changes, and then agrees
+        # with the program's current words.
+        program = keccak64_lmul8.build(5)
+        assembled = program.assemble()
+        pc = assembled.instructions[10].address
+        original = assembled.instructions[10].word
+        proc = SIMDProcessor(elen=64, elenum=5, trace=False)
+        proc.load_program(assembled)
+        words = proc._program_words
+        assert words == {inst.address: inst.word
+                         for inst in assembled.instructions}
+        proc.load_program(assembled)
+        assert proc._program_words is words
+        assembled.instructions[10].word = original ^ 1
+        try:
+            proc.load_program(assembled)
+            assert proc._program_words[pc] == original ^ 1
+        finally:
+            assembled.instructions[10].word = original
+        proc.load_program(assembled)
+        assert proc._program_words == words
+
     def test_predecode_defers_illegal_words(self):
         # An undecodable word must not fault at predecode time, only when
         # (and if) the pc reaches it — matching the per-step decoder.
