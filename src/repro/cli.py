@@ -249,7 +249,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                                       checkpoint=args.resume,
                                       engine=args.engine,
                                       transport=args.transport)
-            digests = outcome.digests
+            digests = outcome.results
         else:
             outcome = None
             digests = run_many(messages, algorithm=args.algorithm,
@@ -620,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--workers", type=int, default=1,
                          help="worker processes (1 = serial)")
     p_batch.add_argument("--chunk-size", type=int, default=None,
-                         help="messages per pool chunk")
+                         help="max messages per span")
     p_batch.add_argument("--seed", type=int, default=0)
     p_batch.add_argument("--algorithm", default="sha3_256",
                          choices=("sha3_256", "shake128", "shake256",
@@ -635,10 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "the pure-Python reference for the "
                               "algorithms hashlib lacks)")
     p_batch.add_argument("--timeout", type=float, default=None,
-                         help="per-chunk timeout in seconds")
+                         help="per-span timeout in seconds")
     p_batch.add_argument("--resume", metavar="MANIFEST", default=None,
                          help="checkpoint manifest path: created on first "
-                              "run, completed chunks are skipped on rerun")
+                              "run, completed spans are skipped on rerun")
     _add_engine_argument(p_batch)
     p_batch.add_argument("--transport", choices=("auto", "shm", "pickle"),
                          default="auto",

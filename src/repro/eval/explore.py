@@ -10,12 +10,13 @@ configuration on the simulator, joins the calibrated
 :mod:`repro.arch.area` model, and reduces the cloud to an
 area-vs-throughput Pareto front.
 
-Points fan out over the worker pool: the pickle transport chunks
-configurations like any batch workload, and the shared-memory transport
-packs the JSON-encoded configurations into one arena, dispatches span
-descriptors, and has workers write fixed-size packed result structs
-into the arena's digest region in place — the same zero-copy machinery
-``run_many`` uses for message hashing.
+Points fan out over the worker pool as planned spans, like any batch
+workload.  The transport only picks the span hook pair: the pickle
+transport sends each span's JSON-encoded configurations through the
+task queue, and the shared-memory transport packs them into one arena,
+dispatches span descriptors, and has workers write fixed-size packed
+result structs into the arena's digest region in place — the same
+zero-copy machinery ``run_many`` uses for message hashing.
 
 Every measurement is *verified* (the permuted states must match the
 NIST-checked reference permutation — timing knobs must never change
@@ -38,12 +39,7 @@ from ..arch.metrics import throughput_e3 as _throughput_e3
 from ..keccak.permutation import keccak_f1600
 from ..parallel_exec import register_task_kind
 from ..parallel_exec import shm as _shm
-from ..parallel_exec.scheduler import (
-    chunked,
-    plan_spans,
-    run_chunks_report,
-    run_spans_report,
-)
+from ..parallel_exec.scheduler import plan_spans, run_spans_report
 from ..programs.factory import build_program
 from ..programs.session import default_session
 from ..sim.timing import TimingModel
@@ -209,13 +205,11 @@ def _point_from_wire(blob: bytes) -> ExplorePoint:
     return ExplorePoint(**json.loads(blob.decode("ascii")))
 
 
-def _measure_chunk(payload) -> List[Tuple[int, float, str]]:
-    """Pickle-transport task body: measure a chunk of encoded points."""
-    return [
-        (r.permutation_cycles, r.cycles_per_round, r.timing_fingerprint)
-        for r in (measure_point(_point_from_wire(blob))
-                  for blob in payload)
-    ]
+def _measure_span(payload) -> List[Tuple[int, float]]:
+    """Pickle-transport task body: measure a span of encoded points."""
+    return [(r.permutation_cycles, r.cycles_per_round)
+            for r in (measure_point(_point_from_wire(blob))
+                      for blob in payload)]
 
 
 def _measure_span_shm(payload) -> Tuple[int, int]:
@@ -236,91 +230,57 @@ def _measure_span_shm(payload) -> Tuple[int, int]:
     return (start, stop)
 
 
-register_task_kind(_EXPLORE_TASK_KIND, _measure_chunk)
+register_task_kind(_EXPLORE_TASK_KIND, _measure_span)
 register_task_kind(_EXPLORE_SHM_TASK_KIND, _measure_span_shm)
 
 
 def explore(points: Sequence[ExplorePoint], *,
             workers: int = 1,
             transport: str = "auto") -> List[ExploreResult]:
-    """Measure every point, fanning out over the worker pool.
+    """Measure every point as planned spans over the worker pool.
 
-    ``workers <= 1`` measures serially in-process.  Parallel runs use
-    the shared-memory transport by default (``transport="auto"`` or
-    ``"shm"``: configurations packed into one arena, workers write
+    ``workers <= 1`` measures the spans serially in-process.  Parallel
+    runs use the shared-memory transport by default (``transport="auto"``
+    or ``"shm"``: configurations packed into one arena, workers write
     packed result structs in place) or the pickle transport
-    (``"pickle"``: chunked descriptors).  Results always come back in
+    (``"pickle"``: each span's configurations sent through the task
+    queue).  Both run the same span plan.  Results always come back in
     input order, bit-identical across transports and worker counts —
     cycle counts are simulated, not measured wall-clock.
     """
     if transport not in ("auto", "shm", "pickle"):
         raise ValueError(f"unknown transport: {transport!r}")
     points = list(points)
-    if not points:
-        return []
-    if workers <= 1:
-        return [measure_point(p) for p in points]
-    if transport == "pickle":
-        raw = _explore_pickle(points, workers)
+    blobs = [_point_to_wire(p) for p in points]
+    sizes = [len(blob) for blob in blobs]
+    options = dict(workers=workers, spans=plan_spans(sizes, workers))
+    if workers <= 1 or transport == "pickle":
+        report = run_spans_report(
+            _EXPLORE_TASK_KIND, len(blobs),
+            payload=lambda start, stop: blobs[start:stop],
+            collect=lambda start, stop, pairs: pairs,
+            transport="pickle", **options)
     else:
-        raw = _explore_shm(points, workers)
+        pool = _shm.arena_pool()
+        arena = pool.acquire(_shm.required_size(sizes, _RESULT_STRUCT.size))
+        try:
+            arena.pack(blobs, _RESULT_STRUCT.size)
+            segment = arena.name
+            report = run_spans_report(
+                _EXPLORE_SHM_TASK_KIND, len(blobs),
+                payload=lambda start, stop: (segment, start, stop),
+                collect=lambda start, stop, _ack: [
+                    _RESULT_STRUCT.unpack(record)
+                    for record in arena.read_digests(start, stop)],
+                transport="shm", **options)
+        finally:
+            pool.release(arena)
     return [
         ExploreResult(point=point, permutation_cycles=cycles,
                       cycles_per_round=cpr,
                       timing_fingerprint=point.timing_model().fingerprint())
-        for point, (cycles, cpr) in zip(points, raw)
+        for point, (cycles, cpr) in zip(points, report.flat())
     ]
-
-
-def _explore_pickle(points: List[ExplorePoint],
-                    workers: int) -> List[Tuple[int, float]]:
-    blobs = [_point_to_wire(p) for p in points]
-    chunk_size = max(1, -(-len(blobs) // (workers * 4)))
-    chunks = chunked(blobs, chunk_size)
-    report = run_chunks_report(_EXPLORE_TASK_KIND,
-                               [tuple(c) for c in chunks],
-                               workers=workers)
-    out: List[Tuple[int, float]] = []
-    for chunk, values in zip(chunks, report.chunk_results):
-        if values is None:
-            raise RuntimeError(
-                f"explore chunk of {len(chunk)} point(s) was quarantined")
-        out.extend((cycles, cpr) for cycles, cpr, _ in values)
-    return out
-
-
-def _explore_shm(points: List[ExplorePoint],
-                 workers: int) -> List[Tuple[int, float]]:
-    blobs = [_point_to_wire(p) for p in points]
-    sizes = [len(blob) for blob in blobs]
-    out_size = _RESULT_STRUCT.size
-    spans = plan_spans(sizes, workers)
-    pool = _shm.arena_pool()
-    arena = pool.acquire(_shm.required_size(sizes, out_size))
-    try:
-        arena.pack(blobs, out_size)
-        segment = arena.name
-
-        def payload(start: int, stop: int) -> Tuple:
-            return (segment, start, stop)
-
-        def collect(start: int, stop: int, _ack) -> List[bytes]:
-            return arena.read_digests(start, stop)
-
-        report = run_spans_report(
-            _EXPLORE_SHM_TASK_KIND, len(blobs), workers=workers,
-            payload=payload, collect=collect, spans=spans,
-            transport="shm")
-    finally:
-        pool.release(arena)
-    out: List[Tuple[int, float]] = []
-    for index, record in enumerate(report.results):
-        if record is None:
-            raise RuntimeError(
-                f"explore point {points[index].label!r} was quarantined")
-        cycles, cpr = _RESULT_STRUCT.unpack(record)
-        out.append((cycles, cpr))
-    return out
 
 
 # -- Pareto reduction and the committed artifact --------------------------------

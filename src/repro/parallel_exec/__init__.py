@@ -12,31 +12,29 @@ persistent worker processes:
   pool caller runs on: one span in flight per worker, crash/timeout
   retry with exponential backoff + jitter, per-worker circuit breaker,
   poisoned-span quarantine, task errors fail fast by default.
-* :mod:`~repro.parallel_exec.scheduler` — the batch front ends over
-  that core: fixed chunks, and cost-planned work-stealing spans.
+* :mod:`~repro.parallel_exec.scheduler` — the batch front end over
+  that core: cost-planned work-stealing spans, with the transport as a
+  ``payload``/``collect`` hook pair.
 * :mod:`~repro.parallel_exec.hardening` — the :class:`RetryPolicy`
   knobs, quarantine log and pool statistics backing the above.
-* :mod:`~repro.parallel_exec.checkpoint` — JSON manifest
+* :mod:`~repro.parallel_exec.checkpoint` — span-keyed JSON manifest
   checkpoint/resume so a killed batch run continues where it stopped.
+* :mod:`~repro.parallel_exec.shm` — the zero-copy shared-memory
+  transport: one arena per batch, digests written in place.
 * :mod:`~repro.parallel_exec.results` — deterministic reassembly in
   submission order, and the structured error taxonomy
   (:class:`ParallelExecError` and subclasses).
 
 Workers are *persistent*: each keeps its warm
 :class:`~repro.programs.session.Session` (predecoded programs and fused
-superblocks survive across chunks), so the per-chunk cost is the
+superblocks survive across spans), so the per-span cost is the
 simulation itself, not setup.  The batch front ends share one pool for
 the life of the process and keep it across clean runs.  The high-level
 front ends live in :func:`repro.run_many` and
 ``batch_sha3_256(..., workers=N)``.
 """
 
-from .checkpoint import (
-    BatchCheckpoint,
-    ManifestVersionError,
-    SpanCheckpoint,
-    chunk_fingerprint,
-)
+from .checkpoint import BatchCheckpoint, ManifestVersionError
 from .dispatch import Hooks, SpanDeque, drive
 from .hardening import (
     PoolStats,
@@ -53,17 +51,7 @@ from .results import (
     TaskError,
     WorkerCrashError,
 )
-from .scheduler import (
-    ChunkRunReport,
-    ChunkView,
-    SpanRunReport,
-    chunked,
-    plan_spans,
-    run_chunked,
-    run_chunks,
-    run_chunks_report,
-    run_spans_report,
-)
+from .scheduler import SpanRunReport, plan_spans, run_spans_report
 from .shm import ArenaPool, ShmArena, arena_pool, choose_transport
 
 __all__ = [
@@ -84,17 +72,9 @@ __all__ = [
     "QuarantinedChunk",
     "BatchCheckpoint",
     "ManifestVersionError",
-    "SpanCheckpoint",
-    "chunk_fingerprint",
-    "ChunkRunReport",
-    "ChunkView",
     "SpanDeque",
     "SpanRunReport",
-    "chunked",
     "plan_spans",
-    "run_chunked",
-    "run_chunks",
-    "run_chunks_report",
     "run_spans_report",
     "ArenaPool",
     "ShmArena",

@@ -1,7 +1,7 @@
 """The one dispatch core every caller of the worker pool runs on.
 
-Batch chunks, work-stealing batch spans and the serving executor's
-lock-step groups all reach a :class:`~repro.parallel_exec.pool.WorkerPool`
+Work-stealing batch spans and the serving executor's lock-step groups
+all reach a :class:`~repro.parallel_exec.pool.WorkerPool`
 through :func:`drive`.  Every work unit is a ``(start, stop)`` span on a
 :class:`SpanDeque`; what differs between callers is data, not control
 flow — a :class:`~repro.parallel_exec.hardening.RetryPolicy` (retries,
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observability import metrics as _metrics
-from .hardening import PoolStats, QuarantineLog, RetryPolicy, WorkKey
+from .hardening import PoolStats, QuarantineLog, RetryPolicy
 from .pool import (
     METRICS_CHUNK_INDEX,
     PING_CHUNK_INDEX,
@@ -128,8 +128,6 @@ class Hooks:
     #: Raise ``error`` to abort the run, or return to resolve the span
     #: without a result.
     give_up: Callable[[Span, ParallelExecError], None]
-    #: How errors and quarantine records name a span.
-    key: Callable[[Span], WorkKey] = lambda span: span
 
 
 def drive(pool: Optional[WorkerPool], work: SpanDeque, policy: RetryPolicy,
@@ -164,9 +162,8 @@ def _run_inline(work: SpanDeque, hooks: Hooks, stats: PoolStats,
         except Exception as exc:
             stats.task_failures += 1
             message = f"{type(exc).__name__}: {exc}"
-            key = hooks.key(span)
-            quarantine.force(key, 0, message)
-            error = TaskError(key, message)
+            quarantine.force(span, 0, message)
+            error = TaskError(span, message)
             error.__cause__ = exc
             hooks.give_up(span, error)
             continue
@@ -207,10 +204,9 @@ def _run_pooled(pool: WorkerPool, work: SpanDeque, policy: RetryPolicy,
     def fail(span: Span, attempts: int, worker_id: int, reason: str,
              error: ParallelExecError, now: float) -> None:
         """One failed attempt: requeue the span or give it up."""
-        key = hooks.key(span)
-        poisoned = quarantine.record(key, worker_id, reason)
+        poisoned = quarantine.record(span, worker_id, reason)
         if poisoned or attempts > policy.max_retries:
-            quarantine.force(key)
+            quarantine.force(span)
             hooks.give_up(span, error)
             return
         delay = policy.delay(attempts + 1, rng)
@@ -265,7 +261,7 @@ def _run_pooled(pool: WorkerPool, work: SpanDeque, policy: RetryPolicy,
                     continue
                 # A task exception, reported by a surviving worker.
                 stats.task_failures += 1
-                error = TaskError(hooks.key(span), result)
+                error = TaskError(span, result)
                 if not policy.retry_task_errors:
                     raise error
                 if ledger.record_failure(worker_id):
@@ -288,15 +284,14 @@ def _run_pooled(pool: WorkerPool, work: SpanDeque, policy: RetryPolicy,
             if not crashed and not worker.timed_out(now):
                 continue
             span, attempts, timeout = in_flight.pop(worker.task[0])
-            key = hooks.key(span)
             if crashed:
                 stats.crashes += 1
                 reason = "worker crashed"
-                error = WorkerCrashError(key, attempts)
+                error = WorkerCrashError(span, attempts)
             else:
                 stats.timeouts += 1
                 reason = f"timed out after {timeout:g}s"
-                error = ChunkTimeoutError(key, timeout, attempts)
+                error = ChunkTimeoutError(span, timeout, attempts)
             worker_id = worker.worker_id
             pool.replace(worker)
             fail(span, attempts, worker_id, reason, error, now)

@@ -27,17 +27,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-#: Work-unit key in quarantine records: a chunk index (the chunk
-#: scheduler) or a ``(start, stop)`` item span (the work-stealing span
-#: scheduler).  Both are hashable and sortable within one run.
-WorkKey = Union[int, Tuple[int, int]]
+#: Work-unit key in quarantine records: the ``(start, stop)`` item span
+#: the scheduler dispatched.
+WorkKey = Tuple[int, int]
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry/recovery policy for one chunked run.
+    """Retry/recovery policy for one span-scheduled run.
 
     The default policy reproduces the seed scheduler's behaviour (no
     backoff, task errors fail fast, failures raise).  ``hardened()``
@@ -125,8 +124,7 @@ class RetryPolicy:
 class QuarantinedChunk:
     """One poisoned work unit: where it failed and why, per attempt.
 
-    ``chunk_index`` is the unit's key — an ``int`` chunk index for the
-    chunk scheduler, a ``(start, stop)`` span for the span scheduler.
+    ``chunk_index`` is the unit's key: the ``(start, stop)`` span.
     """
 
     chunk_index: WorkKey
@@ -224,7 +222,7 @@ class WorkerLedger:
 
 @dataclass
 class PoolStats:
-    """What one chunked run actually did, for post-hoc auditing."""
+    """What one span-scheduled run actually did, for post-hoc auditing."""
 
     chunks: int = 0
     completed: int = 0
@@ -238,7 +236,7 @@ class PoolStats:
     checkpoint_hits: int = 0
     backoff_seconds: float = 0.0
     #: Spans split in half because idle workers outnumbered remaining
-    #: spans (work-stealing runs only; always 0 on the chunk scheduler).
+    #: spans.
     steals: int = 0
 
     @property

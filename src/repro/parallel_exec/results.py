@@ -51,9 +51,9 @@ class ChunkTimeoutError(ParallelExecError):
 
 
 class ChunkQuarantinedError(ParallelExecError):
-    """Poisoned chunks were quarantined and the caller asked for a flat
-    result — the full per-chunk report is available via
-    ``run_chunks_report``."""
+    """Poisoned spans were quarantined and the caller asked for a flat
+    result — the full per-item report is available via
+    ``run_spans_report``."""
 
     def __init__(self, chunk_indices: List[int]) -> None:
         super().__init__(
@@ -70,8 +70,7 @@ class SpanAssembler:
     resume may cover arbitrary item ranges from an earlier run.  So the
     assembler tracks items, not work units — any set of disjoint ranges
     that covers every item completes it, regardless of how the ranges
-    were cut.  A chunk run uses one slot per chunk, holding that
-    chunk's result list.
+    were cut.
 
     A range overlapping already-filled slots is refused whole:
     :meth:`add` fills a range only when *none* of its slots are filled
@@ -127,19 +126,23 @@ class SpanAssembler:
         self._remaining -= stop - start
         self._failed.append((start, stop))
 
-    def uncovered_runs(self) -> List[Tuple[int, int]]:
-        """Maximal unresolved ranges, for resume replanning."""
+    def uncovered_runs(self, lo: int = 0,
+                       hi: Optional[int] = None) -> List[Tuple[int, int]]:
+        """Maximal unresolved ranges within ``[lo, hi)`` (default: all
+        items), for resume replanning."""
+        hi = len(self._filled) if hi is None else hi
+        self._check_range(lo, hi)
         runs: List[Tuple[int, int]] = []
         start: Optional[int] = None
-        for i, filled in enumerate(self._filled):
-            if filled:
+        for i in range(lo, hi):
+            if self._filled[i]:
                 if start is not None:
                     runs.append((start, i))
                     start = None
             elif start is None:
                 start = i
         if start is not None:
-            runs.append((start, len(self._filled)))
+            runs.append((start, hi))
         return runs
 
     def values(self) -> List[Optional[Any]]:

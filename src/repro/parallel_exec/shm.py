@@ -1,9 +1,10 @@
 """Zero-copy shared-memory batch transport for the worker pool.
 
-The pool's original transport pickles every chunk of messages into a
-worker's task queue and pickles every digest list back through the
-result queue — each payload byte crosses two pipes and four pickle
-passes.  Once the SoA mega-batch kernels made per-state compute cheap,
+The batch scheduler runs every batch as planned spans, and the
+transport is only the span hook pair it is given.  The pickle pair
+sends every span's messages through a worker's task queue and pickles
+every digest list back through the result queue — each payload byte
+crosses two pipes and four pickle passes.  Once the SoA mega-batch kernels made per-state compute cheap,
 that serialization became the dominant cost of ``run_many`` on large
 batches (the same lesson the paper draws for hardware: after the hash
 core is fast, throughput is decided by how data moves to and from it).
@@ -29,15 +30,15 @@ Ownership and cleanup rules (the part that keeps crash tests leak-free):
   parent's); unlink clears it, so no tracker warnings are possible.
 * **Workers only ever attach.**  Attachment happens *untracked* (the
   worker suppresses the tracker registration): a worker that is
-  SIGKILLed mid-chunk cannot leave a tracker entry behind, and the
-  parent retries the chunk on another worker against the *same* arena.
+  SIGKILLed mid-span cannot leave a tracker entry behind, and the
+  parent retries the span on another worker against the *same* arena.
 * Attachments are cached per worker process (bounded LRU) and closed on
   clean worker exit; a dead worker's mapping dies with its address
   space.
 
 When segments are unavailable (no POSIX shared memory) or a batch is
-too small to amortize packing, callers fall back to the existing pickle
-transport — :func:`choose_transport` encodes those rules.
+too small to amortize packing, callers take the pickle hook pair over
+the same span plan — :func:`choose_transport` encodes those rules.
 """
 
 from __future__ import annotations

@@ -26,14 +26,12 @@ from ..keccak.sponge import SHA3_SUFFIX, SHAKE_SUFFIX
 from ..keccak.state import KeccakState
 from ..sim import codegen as _codegen
 from ..sim import engines as _engines
-from ..parallel_exec import register_task_kind, run_chunks
+from ..parallel_exec import register_task_kind
 from ..parallel_exec import shm as _shm
-from ..parallel_exec.hardening import PoolStats, QuarantinedChunk, RetryPolicy
-from ..parallel_exec.results import ChunkQuarantinedError
+from ..parallel_exec.hardening import RetryPolicy
 from ..parallel_exec.scheduler import (
-    chunked,
+    SpanRunReport,
     plan_spans,
-    run_chunks_report,
     run_spans_report,
 )
 from .base import KeccakProgram
@@ -77,7 +75,7 @@ class BatchPermutation:
 
         Called by the pool drivers in the *parent* process before workers
         fork: the compile lands in the shared on-disk cache, so each
-        worker's first chunk loads the kernel by fingerprint instead of
+        worker's first span loads the kernel by fingerprint instead of
         recompiling.  Returns True when a kernel exists.  Engines that
         declare a ``warm`` hook in the registry (``soa``) pre-compile
         through it; of the built-ins only ``auto``/``compiled`` reach
@@ -284,10 +282,10 @@ def batch_shake128(messages: Sequence[bytes], length: int,
 _ArchKey = Tuple[int, int, int]
 
 #: Per-process permutation cache, keyed (arch, engine, rounds).  In a
-#: worker this is the warm state the pool exists for: the first chunk
+#: worker this is the warm state the pool exists for: the first span
 #: predecodes the program (and, on the compiled engine, loads the
 #: kernel the parent pre-compiled from the on-disk cache); every later
-#: chunk reuses them.
+#: span reuses them.
 _PERMUTATIONS: Dict[Tuple[_ArchKey, str, int], BatchPermutation] = {}
 
 _HASH_TASK_KIND = "repro.batch_hash"
@@ -387,7 +385,7 @@ def _hash_messages(algorithm: str, length: int, arch: _ArchKey,
                    engine: str, messages: Sequence[bytes]) -> List[bytes]:
     """Hash ``messages`` on this process's cached execution state.
 
-    The single hashing body shared by the pickle chunk task, the
+    The single hashing body shared by the pickle span task, the
     shared-memory span task and the serial paths.  Tree algorithms
     (``k12``, ``parallelhash128/256``) hash whole messages through the
     tree front end; engines declaring a ``digest_batch`` hook
@@ -426,7 +424,7 @@ def hash_messages(algorithm: str, length: int, arch: _ArchKey,
     The public face of :func:`_hash_messages` for in-process callers
     that manage their own batching (the tree-hash leaf planner): same warm
     permutation cache and engine dispatch as the pool task bodies, no
-    pool, no chunking policy.
+    pool, no span planning.
     """
     return _hash_messages(algorithm, length, tuple(arch), engine, messages)
 
@@ -434,13 +432,11 @@ def hash_messages(algorithm: str, length: int, arch: _ArchKey,
 def _hash_chunk(payload) -> List[bytes]:
     """Pickle-transport task body (runs in workers *and* serially).
 
-    ``payload`` is ``(algorithm, length, arch, messages)`` with an
-    optional trailing ``engine`` (older checkpoint manifests carry
-    4-tuples, which default to ``auto``); returns one digest per
-    message, in order.
+    ``payload`` is ``(algorithm, length, arch, messages, engine)``, the
+    span task of :func:`run_many` and of serve's pickle executor;
+    returns one digest per message, in order.
     """
-    algorithm, length, arch, messages = payload[:4]
-    engine = payload[4] if len(payload) > 4 else "auto"
+    algorithm, length, arch, messages, engine = payload
     return _hash_messages(algorithm, length, tuple(arch), engine, messages)
 
 
@@ -486,25 +482,6 @@ def _algorithm_rounds(algorithm: str) -> int:
     return _SPONGE_ALGORITHMS[algorithm][2]
 
 
-def _prepare_chunks(messages: Sequence[bytes], algorithm: str, length: int,
-                    arch: _ArchKey, chunk_size: Optional[int],
-                    engine: str = "auto") -> List[Tuple]:
-    _validate_algorithm(algorithm)
-    if chunk_size is None:
-        if algorithm in _TREE_ALGORITHMS:
-            chunk_size = 1  # each message is a whole leaf tree
-        else:
-            sn = _cached_permutation(arch, engine,
-                                     _algorithm_rounds(algorithm)).max_states
-            chunk_size = 4 * sn
-    payloads = [bytes(m) for m in messages]
-    # ChunkViews reference `payloads` instead of copying each slice; a
-    # view pickles as the plain slice list (and reprs identically, so
-    # checkpoint fingerprints from eager-list manifests still match).
-    return [(algorithm, length, arch, chunk, engine)
-            for chunk in chunked(payloads, chunk_size)]
-
-
 def _warm_parent(arch: _ArchKey, engine: str,
                  workers: Optional[int], num_rounds: int = 24) -> None:
     """Pre-compile in the parent so pool workers warm-start from disk."""
@@ -512,49 +489,18 @@ def _warm_parent(arch: _ArchKey, engine: str,
         _cached_permutation(arch, engine, num_rounds).precompile()
 
 
-class BatchOutcome:
-    """One batch run's digests plus its full failure/recovery report.
-
-    ``digests`` is aligned with the input messages; a message whose
-    chunk was quarantined gets ``None`` instead of a digest, so partial
-    results stay order-preserving.
-    """
-
-    def __init__(self, digests: List[Optional[bytes]],
-                 quarantined: List[QuarantinedChunk],
-                 stats: PoolStats) -> None:
-        self.digests = digests
-        self.quarantined = quarantined
-        self.stats = stats
-
-    @property
-    def ok(self) -> bool:
-        return not self.quarantined
-
-    def flat(self) -> List[bytes]:
-        """All digests; raises if any work unit was quarantined."""
-        if self.quarantined:
-            raise ChunkQuarantinedError(
-                [chunk.chunk_index for chunk in self.quarantined])
-        return list(self.digests)  # type: ignore[arg-type]
-
-    def summary(self) -> str:
-        lines = [self.stats.summary()]
-        if self.quarantined:
-            lines.append(f"{len(self.quarantined)} chunk(s) quarantined:")
-            lines.extend(f"  {chunk}" for chunk in self.quarantined)
-        else:
-            lines.append("no chunks quarantined")
-        return "\n".join(lines)
+#: One batch run's report: per-message digests (``results``, None where
+#: a span was quarantined), quarantine records and pool statistics.
+BatchOutcome = SpanRunReport
 
 
 def _batch_fingerprint(algorithm: str, length: int, arch: _ArchKey,
                        engine: str, payloads: Sequence[bytes]) -> str:
     """One content hash for a whole span-scheduled batch.
 
-    Span checkpoints cannot fingerprint per-chunk payloads (work units
-    are cut while the run executes), so the manifest is guarded by a
-    single digest over the run parameters and every message byte.
+    Spans are cut while the run executes (stealing splits them), so
+    the manifest is guarded by a single digest over the run parameters
+    and every message byte rather than by per-span payloads.
     """
     h = hashlib.sha256()
     h.update(repr((algorithm, length, tuple(arch), engine,
@@ -565,24 +511,30 @@ def _batch_fingerprint(algorithm: str, length: int, arch: _ArchKey,
     return h.hexdigest()
 
 
-def _run_many_shm(payloads: List[bytes], algorithm: str, length: int,
-                  arch: _ArchKey, workers: int,
-                  timeout: Optional[float], max_retries: int,
-                  policy: Optional[RetryPolicy],
-                  checkpoint: Optional[str],
-                  engine: str) -> BatchOutcome:
-    """The zero-copy batch path: arena transport + work-stealing spans.
+def _run_many(messages: Sequence[bytes], algorithm: str, length: int,
+              arch: _ArchKey, workers: int, chunk_size: Optional[int],
+              timeout: Optional[float], max_retries: int,
+              policy: Optional[RetryPolicy], checkpoint: Optional[str],
+              engine: str, transport: str) -> BatchOutcome:
+    """The one batch pipeline: planned spans over either transport.
 
-    The parent packs every message into one shared-memory arena, plans
-    cost-balanced spans aligned to the engine's lock-step width, and the
-    span scheduler dispatches only small descriptors; workers write
-    digests into the arena in place and the parent reads them back.  The
-    arena lease is released (back to the process-wide pool, for the next
-    batch to reuse) whether the run completes, quarantines or raises.
+    Spans are cost-balanced and aligned to the engine's lock-step width;
+    the transport only picks the hook pair.  The pickle pair sends each
+    span's message slice through the task queue and takes the worker's
+    digest list back.  The shm pair packs every message into one
+    shared-memory arena and dispatches only small descriptors; workers
+    write digests into the arena in place and the parent reads them
+    back.  The arena lease is released (back to the process-wide pool,
+    for the next batch to reuse) whether the run completes, quarantines
+    or raises.
     """
     _validate_algorithm(algorithm)
     engine = _engines.validate(engine)
-    out_size = digest_size(algorithm, length)
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk size must be positive: {chunk_size}")
+    payloads = [bytes(m) for m in messages]
+    sizes = [len(message) for message in payloads]
+    mode = _shm.choose_transport(transport, sum(sizes), workers)
     spec = _engines.maybe_get(engine)
     num_rounds = _algorithm_rounds(algorithm)
     spans_per_worker = 4
@@ -605,35 +557,38 @@ def _run_many_shm(payloads: List[bytes], algorithm: str, length: int,
         lane_width = _cached_permutation(arch, engine,
                                          num_rounds).max_states
         _warm_parent(arch, engine, workers, num_rounds)
-    sizes = [len(message) for message in payloads]
     spans = plan_spans(sizes, workers, lane_width=lane_width,
-                       spans_per_worker=spans_per_worker)
+                       spans_per_worker=spans_per_worker,
+                       max_items=chunk_size)
     fingerprint = ""
     if checkpoint is not None:
         fingerprint = _batch_fingerprint(algorithm, length, arch, engine,
                                          payloads)
+    options = dict(workers=workers, spans=spans, lane_width=lane_width,
+                   timeout=timeout, max_retries=max_retries, policy=policy,
+                   checkpoint=checkpoint, fingerprint=fingerprint,
+                   transport=mode)
+    if mode == "pickle":
+        return run_spans_report(
+            _HASH_TASK_KIND, len(payloads),
+            payload=lambda start, stop: (algorithm, length, arch,
+                                         payloads[start:stop], engine),
+            collect=lambda start, stop, digests: digests, **options)
+    out_size = digest_size(algorithm, length)
     pool = _shm.arena_pool()
     arena = pool.acquire(_shm.required_size(sizes, out_size))
     try:
         arena.pack(payloads, out_size)
         segment = arena.name
-
-        def payload(start: int, stop: int) -> Tuple:
-            return (segment, start, stop, algorithm, length, tuple(arch),
-                    engine)
-
-        def collect(start: int, stop: int, _ack) -> List[bytes]:
-            return arena.read_digests(start, stop)
-
-        report = run_spans_report(
-            _HASH_SHM_TASK_KIND, len(payloads), workers=workers,
-            payload=payload, collect=collect, spans=spans,
-            lane_width=lane_width, timeout=timeout,
-            max_retries=max_retries, policy=policy, checkpoint=checkpoint,
-            fingerprint=fingerprint, transport="shm")
+        return run_spans_report(
+            _HASH_SHM_TASK_KIND, len(payloads),
+            payload=lambda start, stop: (segment, start, stop, algorithm,
+                                         length, arch, engine),
+            collect=lambda start, stop, _ack: arena.read_digests(start,
+                                                                 stop),
+            **options)
     finally:
         pool.release(arena)
-    return BatchOutcome(report.results, report.quarantined, report.stats)
 
 
 def run_many_report(messages: Sequence[bytes], *,
@@ -651,31 +606,12 @@ def run_many_report(messages: Sequence[bytes], *,
     """:func:`run_many` with the full :class:`BatchOutcome` report.
 
     Unlike :func:`run_many` this never raises on quarantine: poisoned
-    chunks surface as ``None`` digests plus a
+    spans surface as ``None`` digests plus a
     :class:`~repro.parallel_exec.hardening.QuarantinedChunk` record.
     """
-    arch = (elen, lmul, elenum)
-    payloads = [bytes(m) for m in messages]
-    mode = _shm.choose_transport(transport, sum(len(m) for m in payloads),
-                                 workers or 1)
-    if mode == "shm":
-        return _run_many_shm(payloads, algorithm, length, arch,
-                             workers or 1, timeout, max_retries, policy,
-                             checkpoint, engine)
-    chunks = _prepare_chunks(payloads, algorithm, length, arch, chunk_size,
-                             engine)
-    _warm_parent(arch, engine, workers, _algorithm_rounds(algorithm))
-    report = run_chunks_report(_HASH_TASK_KIND, chunks,
-                               workers=workers or 1, timeout=timeout,
-                               max_retries=max_retries, policy=policy,
-                               checkpoint=checkpoint)
-    digests: List[Optional[bytes]] = []
-    for chunk, values in zip(chunks, report.chunk_results):
-        if values is None:
-            digests.extend([None] * len(chunk[3]))
-        else:
-            digests.extend(values)
-    return BatchOutcome(digests, report.quarantined, report.stats)
+    return _run_many(messages, algorithm, length, (elen, lmul, elenum),
+                     workers or 1, chunk_size, timeout, max_retries, policy,
+                     checkpoint, engine, transport)
 
 
 def run_many(messages: Sequence[bytes], *,
@@ -692,54 +628,43 @@ def run_many(messages: Sequence[bytes], *,
              transport: str = "auto") -> List[bytes]:
     """Hash arbitrarily many messages on the simulator, in parallel.
 
-    Messages are split into chunks, each chunk is hashed in SN-sized
-    lock-step batches (SN states per program run, the paper's Table 7/8
-    batching), and chunks are distributed across ``workers`` persistent
-    processes.  Those workers belong to the process-wide shared pool:
-    the first pooled call forks it, later calls with the same
-    ``workers`` reuse its warm workers, and a call that hits a crash,
-    timeout or task error shuts it down (see
-    :func:`repro.parallel_exec.pool.lease_shared_pool`).  Digests
+    Messages are cut into cost-balanced spans of whole lock-step groups
+    (SN states per program run, the paper's Table 7/8 batching), and
+    spans are distributed across ``workers`` persistent processes, idle
+    workers stealing halves of the largest span left.  Those workers
+    belong to the process-wide shared pool: the first pooled call forks
+    it, later calls with the same ``workers`` reuse its warm workers,
+    and a call that hits a crash, timeout or task error shuts it down
+    (see :func:`repro.parallel_exec.pool.lease_shared_pool`).  Digests
     return in message order; every digest matches
     ``hashlib`` (or, for the algorithms hashlib lacks, the pure-Python
     reference).  ``algorithm`` accepts the flat sponge algorithms
     (``sha3_256``, ``shake128``, ``shake256``, the ``k12_leaf``
     chaining-value sponge) and the whole-message tree algorithms
     (``k12``, ``parallelhash128``, ``parallelhash256``) — tree messages
-    are hashed one per work unit, with the leaf batching happening
-    inside each worker.  ``workers=None``/``1`` runs serially in this process —
-    same code path, no pool.  ``chunk_size`` defaults to four SN groups,
-    big enough to amortize queue IPC, small enough to load-balance;
-    ``timeout``/``max_retries`` (or a full
-    :class:`~repro.parallel_exec.hardening.RetryPolicy`) are the
-    per-chunk recovery policy of
-    :func:`repro.parallel_exec.run_chunked`, and ``checkpoint`` names a
-    JSON manifest enabling kill-and-resume.  ``engine`` selects the
-    simulator execution engine for every chunk (default ``auto``); with
-    ``workers > 1`` the parent pre-compiles once so workers load the
-    kernel from the shared on-disk cache.
+    need no lock-step alignment, the leaf batching happening inside
+    each worker.  ``workers=None``/``1`` runs serially in this process —
+    same spans, no pool.  ``chunk_size`` caps the messages per span
+    (default: no cap beyond the cost plan); ``timeout``/``max_retries``
+    (or a full :class:`~repro.parallel_exec.hardening.RetryPolicy`) are
+    the per-span recovery policy of
+    :func:`repro.parallel_exec.run_spans_report`, and ``checkpoint``
+    names a JSON manifest enabling kill-and-resume.  ``engine`` selects
+    the simulator execution engine for every span (default ``auto``);
+    with ``workers > 1`` the parent pre-compiles once so workers load
+    the kernel from the shared on-disk cache.
 
     ``transport`` picks how message bytes reach the workers:
-    ``"pickle"`` serializes chunks through the task queues (the
-    original path), ``"shm"`` packs the batch into a shared-memory
-    arena that workers read from — and write digests into — in place,
-    with adaptive work-stealing spans instead of fixed chunks.  The
-    default ``"auto"`` uses shm for multi-worker batches big enough to
-    amortize packing and falls back to pickle otherwise (serial runs,
-    tiny batches, platforms without POSIX shared memory).
+    ``"pickle"`` sends each span's messages through the task queues,
+    ``"shm"`` packs the batch into a shared-memory arena that workers
+    read from — and write digests into — in place.  Both run the same
+    span plan, so they give the same digests and resume from the same
+    manifests.  The default ``"auto"`` uses shm for multi-worker batches
+    big enough to amortize packing and falls back to pickle otherwise
+    (serial runs, tiny batches, platforms without POSIX shared memory).
     """
-    arch = (elen, lmul, elenum)
-    payloads = [bytes(m) for m in messages]
-    mode = _shm.choose_transport(transport, sum(len(m) for m in payloads),
-                                 workers or 1)
-    if mode == "shm":
-        outcome = _run_many_shm(payloads, algorithm, length, arch,
-                                workers or 1, timeout, max_retries, policy,
-                                checkpoint, engine)
-        return outcome.flat()
-    chunks = _prepare_chunks(payloads, algorithm, length, arch, chunk_size,
-                             engine)
-    _warm_parent(arch, engine, workers, _algorithm_rounds(algorithm))
-    return run_chunks(_HASH_TASK_KIND, chunks, workers=workers or 1,
-                      timeout=timeout, max_retries=max_retries,
-                      policy=policy, checkpoint=checkpoint)
+    return run_many_report(
+        messages, algorithm=algorithm, length=length, workers=workers,
+        elen=elen, lmul=lmul, elenum=elenum, chunk_size=chunk_size,
+        timeout=timeout, max_retries=max_retries, policy=policy,
+        checkpoint=checkpoint, engine=engine, transport=transport).flat()

@@ -428,6 +428,6 @@ class TestKillAndResume:
                                   workers=2, checkpoint=manifest)
         assert outcome.ok
         assert outcome.stats.checkpoint_hits == completed
-        assert outcome.digests == [
+        assert outcome.results == [
             kangarootwelve(m, 32, engine="reference") for m in messages
         ]

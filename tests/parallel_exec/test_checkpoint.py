@@ -4,7 +4,7 @@ real kill-and-resume of a batch run.
 The kill test launches ``repro batch --resume`` in its own process
 group, SIGKILLs the whole group once the manifest shows progress, and
 then resumes in-process — the resumed digests must be byte-identical to
-``hashlib`` in the original message order, with at least one chunk
+``hashlib`` in the original message order, with at least one span
 served from the manifest instead of recomputed.
 """
 
@@ -21,14 +21,12 @@ import pytest
 from repro.parallel_exec import (
     BatchCheckpoint,
     ManifestVersionError,
-    chunk_fingerprint,
     register_task_kind,
-    run_chunks,
-    run_chunks_report,
     run_spans_report,
 )
-from repro.parallel_exec.checkpoint import SpanCheckpoint
-from repro.programs import run_many, run_many_report
+from repro.programs import batch_driver, run_many, run_many_report
+
+from ._pickle_hooks import run_chunks_of
 
 
 def _triple(payload):
@@ -44,90 +42,100 @@ register_task_kind("test.cp_triple", _triple)
 register_task_kind("test.cp_span_pids", _span_pids)
 
 
+def _write_v1_manifest(path, kind, completed):
+    """A chunk-keyed manifest as the retired fixed-chunk scheduler wrote
+    it (format version 1)."""
+    with open(path, "w") as handle:
+        json.dump({"version": 1, "kind": kind, "num_chunks": 2,
+                   "fingerprints": ["0" * 64] * 2,
+                   "completed": completed}, handle)
+
+
 class TestManifest:
     def test_begin_creates_and_resume_returns_completed(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        chunks = [[1, 2], [3]]
         manifest = BatchCheckpoint(path)
-        assert manifest.begin("test.cp_triple", chunks) == {}
-        manifest.record(1, [b"\x00\xff", 9])
+        assert manifest.begin("test.cp_triple", "fp", 3) == []
+        manifest.record(1, 3, [b"\x00\xff", 9])
 
         resumed = BatchCheckpoint(path)
-        completed = resumed.begin("test.cp_triple", chunks)
-        assert completed == {1: [b"\x00\xff", 9]}  # bytes survive exactly
+        completed = resumed.begin("test.cp_triple", "fp", 3)
+        assert completed == [(1, 3, [b"\x00\xff", 9])]  # bytes exact
 
     def test_fingerprint_mismatch_starts_fresh(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         manifest = BatchCheckpoint(path)
-        manifest.begin("test.cp_triple", [[1, 2]])
-        manifest.record(0, [3, 6])
+        manifest.begin("test.cp_triple", "fp-a", 2)
+        manifest.record(0, 2, [3, 6])
 
         other = BatchCheckpoint(path)
-        assert other.begin("test.cp_triple", [[9, 9]]) == {}
+        assert other.begin("test.cp_triple", "fp-b", 2) == []
         # ... and the stale completion was dropped from disk.
         fresh = BatchCheckpoint(path)
-        assert fresh.begin("test.cp_triple", [[9, 9]]) == {}
+        assert fresh.begin("test.cp_triple", "fp-b", 2) == []
 
     def test_kind_mismatch_starts_fresh(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         manifest = BatchCheckpoint(path)
-        manifest.begin("test.cp_triple", [[1]])
-        manifest.record(0, [3])
-        assert BatchCheckpoint(path).begin("other.kind", [[1]]) == {}
+        manifest.begin("test.cp_triple", "fp", 1)
+        manifest.record(0, 1, [3])
+        assert BatchCheckpoint(path).begin("other.kind", "fp", 1) == []
 
     def test_corrupt_manifest_starts_fresh(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         with open(path, "w") as handle:
             handle.write("{ torn write")
-        assert BatchCheckpoint(path).begin("test.cp_triple", [[1]]) == {}
+        assert BatchCheckpoint(path).begin("test.cp_triple", "fp", 1) == []
 
     def test_record_before_begin_rejected(self, tmp_path):
         with pytest.raises(RuntimeError, match="begin"):
-            BatchCheckpoint(str(tmp_path / "m.json")).record(0, [])
+            BatchCheckpoint(str(tmp_path / "m.json")).record(0, 1, [])
 
     def test_fingerprint_is_content_sensitive(self):
-        assert chunk_fingerprint([1, 2]) != chunk_fingerprint([2, 1])
-        assert chunk_fingerprint([1, 2]) == chunk_fingerprint([1, 2])
+        def fingerprint(messages, engine="auto"):
+            return batch_driver._batch_fingerprint(
+                "sha3_256", 32, (64, 8, 30), engine, messages)
+
+        assert fingerprint([b"ab", b"c"]) != fingerprint([b"a", b"bc"])
+        assert fingerprint([b"ab", b"c"]) != fingerprint([b"c", b"ab"])
+        assert fingerprint([b"ab"]) != fingerprint([b"ab"], "soa")
+        assert fingerprint([b"ab", b"c"]) == fingerprint([b"ab", b"c"])
 
 
 class TestManifestVersion:
     """Version mismatches refuse to run rather than discard real work."""
 
-    def test_span_manifest_rejected_by_chunk_run(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        spans = SpanCheckpoint(path)
-        spans.begin("test.cp_triple", "fp", 4)
-        spans.record(0, 2, [3, 6])
-
-        with pytest.raises(ManifestVersionError) as excinfo:
-            BatchCheckpoint(path).begin("test.cp_triple", [[1, 2]])
-        message = str(excinfo.value)
-        assert "span-keyed" in message
-        assert "\n" not in message  # one-line CLI diagnostic
-
     def test_chunk_manifest_rejected_by_span_run(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        BatchCheckpoint(path).begin("test.cp_triple", [[1, 2]])
-        with pytest.raises(ManifestVersionError, match="chunk-keyed"):
-            SpanCheckpoint(path).begin("test.cp_triple", "fp", 4)
+        _write_v1_manifest(path, "test.cp_triple", {"0": [{"j": 3}]})
+        with pytest.raises(ManifestVersionError) as excinfo:
+            BatchCheckpoint(path).begin("test.cp_triple", "fp", 4)
+        message = str(excinfo.value)
+        assert "version 1" in message
+        assert "\n" not in message  # one-line CLI diagnostic
+
+    def test_v1_manifest_rejected_by_run_many(self, tmp_path):
+        path = str(tmp_path / "manifest.json")
+        _write_v1_manifest(path, batch_driver._HASH_TASK_KIND,
+                           {"0": [{"b": "00" * 32}]})
+        with pytest.raises(ManifestVersionError, match="version 1"):
+            run_many_report([b"a", b"b"], workers=1, checkpoint=path)
 
     def test_unknown_future_version_rejected(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         with open(path, "w") as handle:
             json.dump({"version": 99, "kind": "test.cp_triple"}, handle)
         with pytest.raises(ManifestVersionError, match="version 99"):
-            BatchCheckpoint(path).begin("test.cp_triple", [[1]])
+            BatchCheckpoint(path).begin("test.cp_triple", "fp", 1)
 
     def test_mismatch_leaves_manifest_untouched(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        spans = SpanCheckpoint(path)
-        spans.begin("test.cp_triple", "fp", 4)
-        spans.record(0, 2, [3, 6])
+        _write_v1_manifest(path, "test.cp_triple", {"0": [{"j": 3}]})
         with open(path) as handle:
             before = handle.read()
 
         with pytest.raises(ManifestVersionError):
-            BatchCheckpoint(path).begin("test.cp_triple", [[1]])
+            BatchCheckpoint(path).begin("test.cp_triple", "fp", 1)
         with open(path) as handle:
             assert handle.read() == before  # completed work preserved
 
@@ -137,21 +145,35 @@ class TestManifestVersion:
         path = str(tmp_path / "manifest.json")
         with open(path, "w") as handle:
             json.dump({"kind": "test.cp_triple"}, handle)
-        assert BatchCheckpoint(path).begin("test.cp_triple", [[1]]) == {}
+        assert BatchCheckpoint(path).begin("test.cp_triple", "fp", 1) == []
+
+    def test_cli_resume_of_v1_manifest_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "manifest.json")
+        _write_v1_manifest(path, batch_driver._HASH_TASK_KIND, {})
+        assert main(["batch", "--count", "4", "--size", "8",
+                     "--resume", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "version 1" in err
+        assert err.count("\n") == 1  # one line
+        assert "Traceback" not in err
 
 
 class TestSchedulerCheckpointing:
     def test_serial_run_records_and_resumes(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         chunks = [[1], [2], [3]]
-        assert run_chunks("test.cp_triple", chunks, workers=1,
-                          checkpoint=path) == [3, 6, 9]
+        assert run_chunks_of("test.cp_triple", chunks, workers=1,
+                             checkpoint=path).flat() == [3, 6, 9]
         with open(path) as handle:
             saved = json.load(handle)
+        assert saved["version"] == 2
         assert len(saved["completed"]) == 3
 
-        report = run_chunks_report("test.cp_triple", chunks, workers=1,
-                                   checkpoint=path)
+        report = run_chunks_of("test.cp_triple", chunks, workers=1,
+                               checkpoint=path)
         assert report.flat() == [3, 6, 9]
         assert report.stats.checkpoint_hits == 3  # nothing recomputed
 
@@ -159,11 +181,11 @@ class TestSchedulerCheckpointing:
         path = str(tmp_path / "manifest.json")
         chunks = [[i] for i in range(6)]
         manifest = BatchCheckpoint(path)
-        manifest.begin("test.cp_triple", chunks)
-        manifest.record(0, [999])  # pretend chunk 0 already finished
+        manifest.begin("test.cp_triple", "", 6)
+        manifest.record(0, 1, [999])  # pretend chunk 0 already finished
 
-        report = run_chunks_report("test.cp_triple", chunks, workers=2,
-                                   checkpoint=path)
+        report = run_chunks_of("test.cp_triple", chunks, workers=2,
+                               checkpoint=path)
         # The checkpointed (deliberately wrong) value is trusted, which
         # proves chunk 0 was not re-executed.
         assert report.flat() == [999, 3, 6, 9, 12, 15]
@@ -173,7 +195,7 @@ class TestSchedulerCheckpointing:
         # A resume replans the one contiguous gap as a single span; the
         # pool must still get both workers so stealing can split it.
         path = str(tmp_path / "manifest.json")
-        manifest = SpanCheckpoint(path)
+        manifest = BatchCheckpoint(path)
         manifest.begin("test.cp_span_pids", "fp", 64)
         manifest.record(0, 32, [0] * 32)
 
@@ -196,8 +218,29 @@ class TestSchedulerCheckpointing:
                         checkpoint=path) == expected
         outcome = run_many_report(messages, workers=1, chunk_size=3,
                                   checkpoint=path)
-        assert outcome.digests == expected
+        assert outcome.results == expected
         assert outcome.stats.checkpoint_hits == 4
+
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_serial_run_many_writes_v2_and_resumes_identically(
+            self, tmp_path, transport):
+        path = str(tmp_path / "manifest.json")
+        messages = [bytes([i]) * (3 + 17 * i) for i in range(20)]
+        first = run_many_report(messages, workers=1, checkpoint=path,
+                                transport=transport)
+        with open(path) as handle:
+            saved = json.load(handle)
+        assert saved["version"] == 2
+        assert all(":" in key for key in saved["completed"])
+        assert first.stats.checkpoint_hits == 0
+
+        resumed = run_many_report(messages, workers=1, checkpoint=path,
+                                  transport=transport)
+        assert resumed.stats.checkpoint_hits == len(saved["completed"])
+        assert resumed.results == first.results \
+            == [hashlib.sha3_256(m).digest() for m in messages]
+        with open(path) as handle:
+            assert json.load(handle) == saved  # nothing recomputed
 
 
 class TestKillAndResume:
@@ -258,7 +301,7 @@ class TestKillAndResume:
                                   checkpoint=manifest)
         assert outcome.ok
         assert outcome.stats.checkpoint_hits == completed_before_resume
-        assert outcome.digests == [hashlib.sha3_256(m).digest()
+        assert outcome.results == [hashlib.sha3_256(m).digest()
                                    for m in messages]
 
     def test_sigterm_exits_130_and_leaves_resumable_manifest(
@@ -318,5 +361,5 @@ class TestKillAndResume:
                                   checkpoint=manifest)
         assert outcome.ok
         assert outcome.stats.checkpoint_hits >= completed_before_resume
-        assert outcome.digests == [hashlib.sha3_256(m).digest()
+        assert outcome.results == [hashlib.sha3_256(m).digest()
                                    for m in messages]

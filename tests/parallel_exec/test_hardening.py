@@ -4,7 +4,10 @@ heartbeats.
 Like the base pool tests these pin behaviour, not wall-clock: the policy
 math is tested directly, and the scheduler scenarios use deterministic
 failing task kinds so every assertion is about *what happened* (stats,
-quarantine records, result alignment) rather than how fast.
+quarantine records, result alignment) rather than how fast.  Each
+scenario runs one span per chunk of items through the span scheduler's
+pickle hook pair (``_pickle_hooks``), so results are per item and
+quarantine records are keyed by ``(start, stop)`` spans.
 """
 
 import json
@@ -18,8 +21,6 @@ from repro.parallel_exec import (
     ChunkQuarantinedError,
     RetryPolicy,
     register_task_kind,
-    run_chunks,
-    run_chunks_report,
 )
 from repro.parallel_exec.hardening import (
     PoolStats,
@@ -27,6 +28,8 @@ from repro.parallel_exec.hardening import (
     WorkerLedger,
 )
 from repro.programs import run_many_report
+
+from ._pickle_hooks import run_chunks_of
 
 
 def _poison(payload):
@@ -144,26 +147,26 @@ class TestQuarantineScheduling:
 
     def test_poisoned_chunk_quarantined_not_retried_forever(self):
         chunks = [["bad"], [1, 2], [3, 4]]
-        report = run_chunks_report("test.h_mixed", chunks, workers=2,
-                                   policy=self.POLICY)
-        assert report.chunk_results == [None, [1, 2], [3, 4]]
+        report = run_chunks_of("test.h_mixed", chunks, workers=2,
+                               policy=self.POLICY)
+        assert report.results == [None, 1, 2, 3, 4]
         [chunk] = report.quarantined
-        assert chunk.chunk_index == 0
+        assert chunk.chunk_index == (0, 1)
         assert len(set(chunk.workers)) >= self.POLICY.quarantine_threshold
         assert all("bad chunk" in reason for reason in chunk.reasons)
         with pytest.raises(ChunkQuarantinedError):
             report.flat()
 
     def test_run_chunks_raises_on_quarantine(self):
-        with pytest.raises(ChunkQuarantinedError, match=r"\[0\]"):
-            run_chunks("test.h_mixed", [["bad"], [1]], workers=2,
-                       policy=self.POLICY)
+        with pytest.raises(ChunkQuarantinedError, match=r"\[\(0, 1\)\]"):
+            run_chunks_of("test.h_mixed", [["bad"], [1]], workers=2,
+                          policy=self.POLICY).flat()
 
     def test_serial_quarantine_completes_batch(self):
-        report = run_chunks_report("test.h_mixed", [[1], ["bad"], [2]],
-                                   workers=1, policy=self.POLICY)
-        assert report.chunk_results == [[1], None, [2]]
-        assert [q.chunk_index for q in report.quarantined] == [1]
+        report = run_chunks_of("test.h_mixed", [[1], ["bad"], [2]],
+                               workers=1, policy=self.POLICY)
+        assert report.results == [1, None, 2]
+        assert [q.chunk_index for q in report.quarantined] == [(1, 2)]
         assert report.stats.task_failures == 1
 
     def test_breaker_retires_repeat_offenders(self):
@@ -171,8 +174,8 @@ class TestQuarantineScheduling:
                              quarantine=True, quarantine_threshold=2,
                              breaker_threshold=2, backoff_base=0.0)
         chunks = [["bad"], ["bad"], ["bad"], ["bad"]]
-        report = run_chunks_report("test.h_poison", chunks, workers=2,
-                                   policy=policy)
+        report = run_chunks_of("test.h_poison", chunks, workers=2,
+                               policy=policy)
         assert len(report.quarantined) == 4
         # Every result was a failure, so some worker must have hit two
         # consecutive failures and tripped its breaker.
@@ -183,9 +186,10 @@ class TestQuarantineScheduling:
         flag = str(tmp_path / "flaky")
         policy = RetryPolicy(max_retries=3, retry_task_errors=True,
                              backoff_base=0.0)
-        report = run_chunks_report("test.h_flaky", [(flag, [1, 2])],
-                                   workers=2, policy=policy)
-        assert report.chunk_results == [[1, 2]]
+        report = run_chunks_of("test.h_flaky", [[1, 2]], workers=2,
+                               wrap=lambda start, items: (flag, items),
+                               policy=policy)
+        assert report.results == [1, 2]
         assert report.ok
         assert report.stats.task_failures == 1
         assert report.stats.retries == 1
@@ -195,10 +199,11 @@ class TestQuarantineScheduling:
         policy = RetryPolicy(max_retries=3, retry_task_errors=True,
                              backoff_base=0.05, jitter=0.5, seed=1)
         start = time.monotonic()
-        report = run_chunks_report("test.h_flaky", [(flag, [7])],
-                                   workers=2, policy=policy)
+        report = run_chunks_of("test.h_flaky", [[7]], workers=2,
+                               wrap=lambda start, items: (flag, items),
+                               policy=policy)
         elapsed = time.monotonic() - start
-        assert report.chunk_results == [[7]]
+        assert report.results == [7]
         assert report.stats.backoff_seconds > 0
         assert elapsed >= report.stats.backoff_seconds
 
@@ -211,12 +216,13 @@ class TestQuarantineScheduling:
             flags = [str(tmp_path / f"flaky_{tag}_{i}") for i in range(3)]
             policy = RetryPolicy(max_retries=3, retry_task_errors=True,
                                  backoff_base=0.02, jitter=0.9, seed=seed)
-            chunks = [(flag, [i]) for i, flag in enumerate(flags)]
             # Two workers may interleave the failures, but the three
             # jitter draws come off one seeded rng and all retries are
             # attempt #1, so the backoff *sum* is order-independent.
-            report = run_chunks_report("test.h_flaky", chunks,
-                                       workers=2, policy=policy)
+            report = run_chunks_of(
+                "test.h_flaky", [[i] for i in range(len(flags))],
+                workers=2, wrap=lambda start, items: (flags[start], items),
+                policy=policy)
             assert report.ok
             assert report.stats.retries == 3  # one retry per chunk
             return report.stats.backoff_seconds
@@ -234,10 +240,11 @@ class TestQuarantineScheduling:
         policy = RetryPolicy(max_retries=1, retry_task_errors=True,
                              quarantine=True, quarantine_threshold=2,
                              backoff_base=0.0)
-        report = run_chunks_report("test.h_poison", [["x"], None],
-                                   workers=2, policy=policy)
-        assert report.chunk_results == [None, None]
-        assert {q.chunk_index for q in report.quarantined} == {0, 1}
+        report = run_chunks_of("test.h_poison", [["x"], [None]],
+                               workers=2, policy=policy)
+        assert report.results == [None, None]
+        assert {q.chunk_index for q in report.quarantined} \
+            == {(0, 1), (1, 2)}
 
 
 class TestHeartbeat:
@@ -247,17 +254,17 @@ class TestHeartbeat:
         # Two workers, two chunks: one sleeps while the other's worker
         # sits idle long enough to be pinged.
         chunks = [[0.6], [0.0]]
-        report = run_chunks_report("test.h_sleep", chunks, workers=2,
-                                   policy=policy)
-        assert report.chunk_results == [[0.6], [0.0]]
+        report = run_chunks_of("test.h_sleep", chunks, workers=2,
+                               policy=policy)
+        assert report.results == [0.6, 0.0]
         assert report.stats.pings_sent >= 1
         assert report.stats.pongs_received >= 1
 
     def test_healthy_run_retires_no_workers(self):
         policy = RetryPolicy(heartbeat_interval=0.05,
                              heartbeat_timeout=10.0)
-        report = run_chunks_report("test.h_ok", [[1], [2], [3]], workers=2,
-                                   policy=policy)
+        report = run_chunks_of("test.h_ok", [[1], [2], [3]], workers=2,
+                               policy=policy)
         assert report.flat() == [2, 4, 6]
         assert report.stats.workers_retired == 0
 
@@ -268,7 +275,7 @@ class TestBatchFrontEnd:
         outcome = run_many_report(messages, workers=2, chunk_size=4)
         import hashlib
         assert outcome.ok
-        assert outcome.digests == [hashlib.sha3_256(m).digest()
+        assert outcome.results == [hashlib.sha3_256(m).digest()
                                    for m in messages]
         assert "no chunks quarantined" in outcome.summary()
 
@@ -295,7 +302,7 @@ class TestBatchFrontEnd:
                                   policy=policy)
         import hashlib
         assert not outcome.ok
-        assert outcome.digests[4:8] == [None] * 4
-        assert outcome.digests[:4] == [hashlib.sha3_256(b"a" * 10).digest()] * 4
-        assert outcome.digests[8:] == [hashlib.sha3_256(b"c" * 10).digest()] * 4
+        assert outcome.results[4:8] == [None] * 4
+        assert outcome.results[:4] == [hashlib.sha3_256(b"a" * 10).digest()] * 4
+        assert outcome.results[8:] == [hashlib.sha3_256(b"c" * 10).digest()] * 4
         assert "quarantined" in outcome.summary()

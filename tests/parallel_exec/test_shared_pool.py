@@ -1,6 +1,6 @@
 """The batch front ends' process-lifetime worker pool.
 
-``run_many``, ``run_chunks`` and ``run_spans_report`` lease one shared
+``run_many`` and every ``run_spans_report`` caller lease one shared
 pool that lives as long as the process: a clean run hands its warm
 workers on to the next run, any fault retires the pool, and a new
 task kind or a changed environment forks a fresh one (workers only see
@@ -27,12 +27,7 @@ import time
 import pytest
 
 from repro.observability import metrics
-from repro.parallel_exec import (
-    TaskError,
-    register_task_kind,
-    run_chunks,
-    run_chunks_report,
-)
+from repro.parallel_exec import TaskError, register_task_kind
 from repro.parallel_exec.pool import (
     lease_shared_pool,
     return_shared_pool,
@@ -41,6 +36,8 @@ from repro.parallel_exec.pool import (
 )
 from repro.programs import run_many
 from repro.serve import OK, PooledExecutor
+
+from ._pickle_hooks import run_chunks_of
 
 MESSAGES = [bytes([n]) * (17 + 5 * n) for n in range(24)]
 EXPECTED = [hashlib.sha3_256(m).digest() for m in MESSAGES]
@@ -122,8 +119,8 @@ class TestReuse:
     def test_every_front_end_shares_one_pool(self):
         run_many(MESSAGES, workers=2)
         first = _pids()
-        assert run_chunks("test.sp_double", [[1, 2], [3]], workers=2) \
-            == [2, 4, 6]
+        assert run_chunks_of("test.sp_double", [[1, 2], [3]],
+                             workers=2).flat() == [2, 4, 6]
         assert _pids() == first
 
     def test_other_worker_count_replaces_the_pool(self):
@@ -179,14 +176,15 @@ class TestFaultedRunsRetireThePool:
     def test_task_error_retires_the_pool(self):
         run_many(MESSAGES, workers=2)
         with pytest.raises(TaskError):
-            run_chunks("test.sp_fail", [[1], [2]], workers=2)
+            run_chunks_of("test.sp_fail", [[1], [2]], workers=2)
         assert shared_pool() is None
         assert run_many(MESSAGES, workers=2) == EXPECTED
 
     def test_injected_crash_retires_the_pool(self, tmp_path):
         flag = str(tmp_path / "crashed")
-        report = run_chunks_report(
-            "test.sp_crash_once", [(flag, [1, 2]), (flag, [3])], workers=2)
+        report = run_chunks_of(
+            "test.sp_crash_once", [[1, 2], [3]], workers=2,
+            wrap=lambda start, items: (flag, items))
         assert os.path.exists(flag)  # the first attempt really died
         assert report.stats.crashes >= 1
         assert report.ok and report.flat() == [2, 4, 6]
@@ -194,8 +192,8 @@ class TestFaultedRunsRetireThePool:
         assert run_many(MESSAGES, workers=2) == EXPECTED
 
     def test_clean_run_keeps_the_pool(self):
-        report = run_chunks_report("test.sp_double", [[1], [2], [3]],
-                                   workers=2)
+        report = run_chunks_of("test.sp_double", [[1], [2], [3]],
+                               workers=2)
         assert report.stats.clean
         assert shared_pool() is not None
 
@@ -205,14 +203,14 @@ class TestForkTimeState:
         run_many(MESSAGES, workers=2)
         before = _pids()
         register_task_kind("test.sp_late", _late)
-        assert run_chunks("test.sp_late", [[1, 2], [3]], workers=2) \
-            == [1001, 1002, 1003]
+        assert run_chunks_of("test.sp_late", [[1, 2], [3]],
+                             workers=2).flat() == [1001, 1002, 1003]
         assert not set(before) & set(_pids())
 
     def test_arming_keeps_the_pool_and_runs_merge_only_their_deltas(self):
         # Workers adopt the armed flag sent with each dispatch, so a pool
         # forked disarmed meters armed runs without forking again.
-        run_chunks("test.sp_double", [[0]], workers=2)
+        run_chunks_of("test.sp_double", [[0]], workers=2)
         pids = _pids()
         registry = metrics.registry()
         for armed, count in ((True, 4), (True, 6), (False, 5), (True, 3)):
@@ -221,8 +219,9 @@ class TestForkTimeState:
             else:
                 metrics.disarm()
             before = registry.snapshot()
-            assert run_chunks("test.sp_double",
-                              [[n] for n in range(count)], workers=2) \
+            assert run_chunks_of("test.sp_double",
+                                 [[n] for n in range(count)],
+                                 workers=2).flat() \
                 == [2 * n for n in range(count)]
             change = metrics.delta(before, registry.snapshot())
             series = change.get("pool_worker_task_seconds",

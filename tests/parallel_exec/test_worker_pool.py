@@ -4,7 +4,8 @@ The pool's scaling claims only hold on multicore machines, so nothing
 here asserts wall-clock speedups — these tests pin the *semantics*: the
 parallel path returns exactly what the serial path returns (in order),
 task exceptions fail fast, and crashed/hung workers are replaced with
-their chunks retried.
+their spans retried.  Test task kinds run through the span scheduler
+with a pickle hook pair over a list (``_pickle_hooks``).
 
 Crash/timeout tasks signal attempt state through flag files because the
 task runs in a child process; ``fork`` inherits the registry, so kinds
@@ -21,12 +22,17 @@ from repro.parallel_exec import (
     ChunkTimeoutError,
     TaskError,
     WorkerCrashError,
-    chunked,
     register_task_kind,
-    run_chunked,
-    run_chunks,
 )
 from repro.programs import batch_sha3_256, run_many
+
+from ._pickle_hooks import run_chunks_of
+
+
+def _run_chunked(kind, items, *, workers, chunk_size):
+    chunks = [items[i:i + chunk_size]
+              for i in range(0, len(items), chunk_size)]
+    return run_chunks_of(kind, chunks, workers=workers).flat()
 
 
 def _echo(payload):
@@ -70,47 +76,48 @@ register_task_kind("test.big_result", _big_result)
 
 
 class TestChunking:
-    def test_chunked_splits_and_preserves_order(self):
-        assert chunked(list(range(7)), 3) == [[0, 1, 2], [3, 4, 5], [6]]
-        assert chunked([], 3) == []
-
     def test_chunked_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            chunked([1], 0)
+        # chunk_size arrives from the CLI, so run_many checks it.
+        with pytest.raises(ValueError, match="chunk size"):
+            run_many([b"x"], chunk_size=0)
+        with pytest.raises(ValueError, match="chunk size"):
+            run_many([b"x"], workers=2, chunk_size=-1, transport="pickle")
 
 
 class TestScheduler:
     def test_serial_and_parallel_agree(self):
         items = list(range(40))
-        serial = run_chunked("test.double", items, workers=1, chunk_size=7)
-        parallel = run_chunked("test.double", items, workers=3, chunk_size=7)
+        serial = _run_chunked("test.double", items, workers=1, chunk_size=7)
+        parallel = _run_chunked("test.double", items, workers=3,
+                                chunk_size=7)
         assert serial == [2 * i for i in items]
         assert parallel == serial
 
     def test_parallel_uses_multiple_processes(self):
-        results = run_chunked("test.echo", list(range(12)), workers=3,
-                              chunk_size=2)
+        results = _run_chunked("test.echo", list(range(12)), workers=3,
+                               chunk_size=2)
         assert [item for _, item in results] == list(range(12))
         assert all(pid != os.getpid() for pid, _ in results)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(KeyError):
-            run_chunks("test.no_such_kind", [[1]], workers=1)
+            run_chunks_of("test.no_such_kind", [[1]], workers=1)
 
     def test_task_error_fails_fast_serial(self):
-        with pytest.raises(TaskError, match="chunk 1"):
-            run_chunked("test.fail13", [1, 2, 13, 4], workers=1,
-                        chunk_size=2)
+        with pytest.raises(TaskError, match=r"chunk \(2, 4\)"):
+            _run_chunked("test.fail13", [1, 2, 13, 4], workers=1,
+                         chunk_size=2)
 
     def test_task_error_fails_fast_parallel(self):
         with pytest.raises(TaskError, match="unlucky"):
-            run_chunked("test.fail13", [1, 2, 13, 4], workers=2,
-                        chunk_size=2)
+            _run_chunked("test.fail13", [1, 2, 13, 4], workers=2,
+                         chunk_size=2)
 
     def test_worker_crash_retried_then_succeeds(self, tmp_path):
         flag = str(tmp_path / "crashed")
-        chunks = [(flag, [1, 2, 3])]
-        assert run_chunks("test.crash_once", chunks, workers=2) == [1, 2, 3]
+        report = run_chunks_of("test.crash_once", [[1, 2, 3]], workers=2,
+                               wrap=lambda start, items: (flag, items))
+        assert report.flat() == [1, 2, 3]
         assert os.path.exists(flag)  # first attempt really did crash
 
     def test_worker_crash_exhausts_retries(self, tmp_path):
@@ -118,14 +125,15 @@ class TestScheduler:
             os._exit(23)
 
         register_task_kind("test.crash_always", crash_always)
-        with pytest.raises(WorkerCrashError, match="chunk 0"):
-            run_chunks("test.crash_always", [[1]], workers=2, max_retries=1)
+        with pytest.raises(WorkerCrashError, match=r"chunk \(0, 1\)"):
+            run_chunks_of("test.crash_always", [[1]], workers=2,
+                          max_retries=1)
 
     def test_timeout_kills_and_exhausts_retries(self):
         start = time.monotonic()
-        with pytest.raises(ChunkTimeoutError, match="chunk 0"):
-            run_chunks("test.hang", [[1]], workers=2, timeout=0.3,
-                       max_retries=1)
+        with pytest.raises(ChunkTimeoutError, match=r"chunk \(0, 1\)"):
+            run_chunks_of("test.hang", [[1]], workers=2, timeout=0.3,
+                          max_retries=1)
         assert time.monotonic() - start < 60  # killed, not waited out
 
 

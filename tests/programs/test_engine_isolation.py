@@ -119,14 +119,23 @@ class TestBatchDriverCache:
         assert batch_driver.BatchPermutation(
             64, 8, 5, engine="stepped").precompile() is False
 
-    def test_chunk_payloads_carry_the_engine(self):
-        chunks = batch_driver._prepare_chunks(
-            [b"x"] * 4, "sha3_256", 32, (64, 8, 5), chunk_size=2,
-            engine="predecoded")
-        assert all(chunk[4] == "predecoded" for chunk in chunks)
-        # Legacy 4-tuple payloads (old checkpoint manifests) still
-        # default to auto inside the task body.
-        digests = batch_driver._hash_chunk(
-            ("sha3_256", 32, (64, 8, 5), [b"abc"]))
+    def test_chunk_payloads_carry_the_engine(self, monkeypatch):
         import hashlib
-        assert digests == [hashlib.sha3_256(b"abc").digest()]
+
+        from repro.parallel_exec import register_task_kind
+
+        payloads = []
+
+        def spy(payload):
+            payloads.append(payload)
+            return batch_driver._hash_chunk(payload)
+
+        register_task_kind("test.engine_payload_spy", spy)
+        monkeypatch.setattr(batch_driver, "_HASH_TASK_KIND",
+                            "test.engine_payload_spy")
+        digests = batch_driver.run_many(
+            [b"x"] * 4, elen=64, lmul=8, elenum=5, chunk_size=2,
+            engine="predecoded", transport="pickle")
+        assert sum(len(payload[3]) for payload in payloads) == 4
+        assert all(payload[4] == "predecoded" for payload in payloads)
+        assert digests == [hashlib.sha3_256(b"x").digest()] * 4
