@@ -71,8 +71,10 @@ def plan_spans(sizes: Sequence[int], workers: int, *,
     per-message overhead plus its payload bytes); spans aim for
     ``workers * spans_per_worker`` roughly equal cost shares, and a span
     ends early only on a multiple of ``lane_width`` items, so it
-    dispatches whole lock-step lane groups (the SoA engine's
-    ``soa_width()`` batch, or SN states for per-call engines).
+    dispatches whole lock-step lane groups (SN states for per-call
+    engines).  The resident SoA sponge plans with ``lane_width=1``: it
+    refills lanes from anywhere in its span and picks its kernel width
+    from the span's own messages.
     ``max_items`` caps every span's item count; the cap wins over lane
     alignment.
     """

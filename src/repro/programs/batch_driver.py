@@ -376,6 +376,14 @@ def _hash_tree_messages(algorithm: str, length: int, engine: str,
     return [final(bytes(m), length, engine=engine) for m in messages]
 
 
+def _sponge_shape(algorithm: str, length: int) -> Tuple[int, int, int, int]:
+    """``(rate bytes, suffix, output bytes, rounds)`` of a flat sponge
+    algorithm."""
+    capacity_bits, suffix, num_rounds, fixed = _SPONGE_ALGORITHMS[algorithm]
+    return ((1600 - capacity_bits) // 8, suffix,
+            fixed if fixed is not None else length, num_rounds)
+
+
 def _is_resident(spec) -> bool:
     """Whether ``spec`` hashes through the resident SoA sponge."""
     return spec is not None and spec.caps.batching and spec.caps.functional
@@ -402,11 +410,9 @@ def _hash_messages(algorithm: str, length: int, arch: _ArchKey,
     spec = _engines.maybe_get(engine)
     if spec is not None and spec.digest_batch is not None:
         return spec.digest_batch(algorithm, length, messages)
-    capacity_bits, suffix, num_rounds, fixed = _SPONGE_ALGORITHMS[algorithm]
+    rate, suffix, out_len, num_rounds = _sponge_shape(algorithm, length)
     if _is_resident(spec):
-        return _codegen.sponge_soa(messages, (1600 - capacity_bits) // 8,
-                                   suffix,
-                                   fixed if fixed is not None else length,
+        return _codegen.sponge_soa(messages, rate, suffix, out_len,
                                    num_rounds)
     perm = _cached_permutation(tuple(arch), engine, num_rounds)
     sn = perm.max_states
@@ -489,6 +495,28 @@ def _warm_parent(arch: _ArchKey, engine: str,
         _cached_permutation(arch, engine, num_rounds).precompile()
 
 
+def _warm_resident_spans(sizes: Sequence[int], spans, algorithm: str,
+                        length: int) -> None:
+    """Pre-compile, once each, the kernel widths the resident sponge
+    picks for the planned spans, so pool workers inherit them at fork
+    or load them from the disk cache.
+
+    Only the planned widths: a warm costs about as much as a worker's
+    own compile, so warming every width a span might use would cost
+    more than it saves.  A span cut later (a steal, a resumed
+    sub-span) that needs another width compiles it in the worker.
+    """
+    rate, _suffix, out_len, num_rounds = _sponge_shape(algorithm, length)
+    widths = set()
+    for start, stop in spans:
+        width, calls = _codegen.soa_sponge_plan(sizes[start:stop], rate,
+                                                out_len)
+        if calls:
+            widths.add(width)
+    for width in sorted(widths):
+        _codegen.warm_soa(width, num_rounds)
+
+
 #: One batch run's report: per-message digests (``results``, None where
 #: a span was quarantined), quarantine records and pool statistics.
 BatchOutcome = SpanRunReport
@@ -538,6 +566,7 @@ def _run_many(messages: Sequence[bytes], algorithm: str, length: int,
     spec = _engines.maybe_get(engine)
     num_rounds = _algorithm_rounds(algorithm)
     spans_per_worker = 4
+    resident = False
     if algorithm in _TREE_ALGORITHMS:
         # Whole-message trees: the leaf batching happens inside each
         # worker, so spans need no lock-step alignment — but the leaf
@@ -549,10 +578,13 @@ def _run_many(messages: Sequence[bytes], algorithm: str, length: int,
     elif _is_resident(spec):
         # The resident sponge refills finished lanes from the rest of
         # its span, so each worker gets one cost-balanced span: a span
-        # of one lane group would leave nothing to refill from.
+        # of one lane group would leave nothing to refill from.  Each
+        # span's sponge picks its own kernel width from the span's
+        # messages, so the parent warms those widths once the spans are
+        # planned, not the lane budget's.
         lane_width = 1
         spans_per_worker = 1
-        _warm_parent(arch, engine, workers, num_rounds)
+        resident = True
     else:
         lane_width = _cached_permutation(arch, engine,
                                          num_rounds).max_states
@@ -560,6 +592,8 @@ def _run_many(messages: Sequence[bytes], algorithm: str, length: int,
     spans = plan_spans(sizes, workers, lane_width=lane_width,
                        spans_per_worker=spans_per_worker,
                        max_items=chunk_size)
+    if resident and workers > 1:
+        _warm_resident_spans(sizes, spans, algorithm, length)
     fingerprint = ""
     if checkpoint is not None:
         fingerprint = _batch_fingerprint(algorithm, length, arch, engine,

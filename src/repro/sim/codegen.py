@@ -49,11 +49,12 @@ Compiled kernels are cached twice:
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 import tempfile
 import time
 from collections import Counter
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..isa import decode_operands
 from ..observability import metrics as _metrics
@@ -1094,11 +1095,21 @@ class _Generator:
 # (keyed by a distinct ``("soa", version, lanes, rounds)`` fingerprint),
 # so pool parents pre-compile once and forked workers warm-start.
 
-#: Messages per SoA kernel call (the lane budget) unless
+#: The cap on messages per SoA kernel call (the lane budget) unless
 #: ``REPRO_SOA_LANES`` overrides it.  64 lanes = 4096-bit columns:
 #: big enough to amortize dispatch, small enough that Python bignum
-#: ops stay cheap.
+#: ops stay cheap.  The resident sponge runs narrower kernels when
+#: they make no more calls (:func:`soa_sponge_plan`).
 SOA_DEFAULT_LANES = 64
+
+#: Kernel widths the resident sponge chooses from, narrowest first:
+#: powers of two up to 16 lanes, then steps of 8.  A fixed ladder keeps
+#: the set of kernels a batch mix compiles (and a pool parent warms)
+#: small.
+_SOA_LADDER = (1, 2, 4, 8, 16, 24, 32, 40, 48, 56, 64)
+
+#: Batches of at most this many messages keep the bucket width.
+_SOA_LADDER_MIN_BATCH = 16
 
 #: Always-on SoA counters, mirrored to labeled metrics when armed
 #: (same discipline as COMPILE_STATS above).
@@ -1150,6 +1161,62 @@ def soa_bucket(count: int) -> int:
     if count <= 1:
         return 1
     return 1 << (count - 1).bit_length()
+
+
+def soa_chains(sizes: Sequence[int], rate: int,
+               out_len: int) -> List[int]:
+    """Kernel calls each message holds a resident-sponge lane for.
+
+    Its absorb blocks (the padding always adds at least one byte) plus
+    ``ceil(out_len / rate) - 1`` extra squeeze permutations.
+    """
+    squeeze = -(-out_len // rate) - 1
+    return [size // rate + 1 + squeeze for size in sizes]
+
+
+def soa_schedule_calls(chains: Sequence[int], width: int) -> int:
+    """Kernel calls :func:`sponge_soa` makes for ``chains`` on ``width``
+    lanes: the makespan of its longest-first refill schedule, where a
+    lane that finishes a chain starts the next one on the following
+    call."""
+    ordered = sorted(chains, reverse=True)
+    if not ordered:
+        return 0
+    finish = ordered[:width]
+    heapq.heapify(finish)
+    for chain in ordered[width:]:
+        heapq.heapreplace(finish, finish[0] + chain)
+    return max(finish)
+
+
+def soa_sponge_plan(sizes: Sequence[int], rate: int,
+                    out_len: int) -> Tuple[int, int]:
+    """``(width, kernel calls)`` of one :func:`sponge_soa` call.
+
+    The widest allowed kernel is ``min(soa_width(),
+    soa_bucket(len(sizes)))``; the width is the narrowest
+    :data:`_SOA_LADDER` entry below it whose schedule makes no more
+    kernel calls, since a narrower kernel call costs less.  Batches of
+    at most 16 messages keep the widest kernel.  A call that runs no
+    kernel (no messages, or ``out_len == 0``) plans ``(1, 0)``.
+    """
+    total = len(sizes)
+    if total == 0 or out_len == 0:
+        return 1, 0
+    chains = soa_chains(sizes, rate, out_len)
+    widest = min(soa_width(), soa_bucket(total))
+    calls = soa_schedule_calls(chains, widest)
+    if total <= _SOA_LADDER_MIN_BATCH:
+        return widest, calls
+    work = sum(chains)
+    for width in _SOA_LADDER:
+        if width >= widest:
+            break
+        # ceil(work / width) calls is a floor no schedule beats.
+        if -(-work // width) <= calls \
+                and soa_schedule_calls(chains, width) <= calls:
+            return width, calls
+    return widest, calls
 
 
 def soa_fingerprint(lanes: int, num_rounds: int) -> str:
@@ -1393,8 +1460,10 @@ def sponge_soa(messages, rate: int, suffix: int, out_len: int,
                num_rounds: int = NUM_ROUNDS) -> List[bytes]:
     """Sponge-hash every message with the state resident in SoA columns.
 
-    A lane scheduler over one kernel width, chosen once per call as
-    ``min(soa_width(), soa_bucket(len(messages)))``.  Between
+    A lane scheduler over one kernel width, chosen once per call by
+    :func:`soa_sponge_plan`: the narrowest width on a fixed ladder that
+    makes as few kernel calls as the widest allowed kernel
+    (``min(soa_width(), soa_bucket(len(messages)))``).  Between
     permutations the states live only in the 25 packed columns: each
     step XORs every absorbing lane's next ``rate``-byte block in as
     64-bit words (one ``int.from_bytes`` per column), and after the
@@ -1414,7 +1483,7 @@ def sponge_soa(messages, rate: int, suffix: int, out_len: int,
         return []
     if out_len == 0:
         return [b""] * total
-    width = min(soa_width(), soa_bucket(total))
+    width, _ = soa_sponge_plan([len(m) for m in messages], rate, out_len)
     kernel = get_or_compile_soa(width, num_rounds).fn
     words = rate // 8
     zero_block = bytes(rate)

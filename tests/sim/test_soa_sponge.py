@@ -124,8 +124,8 @@ class TestDifferentialMatrix:
 
     @pytest.mark.parametrize("algorithm", sorted(RATES))
     def test_narrow_lane_budget_refills(self, algorithm, monkeypatch):
-        # 17 messages on 16 lanes: the kernel stays 16 wide and the
-        # 17th message enters the first lane to finish.
+        # 17 messages under a 16-lane cap: no kernel is wider than 16
+        # lanes, so a later message enters the first lane to finish.
         monkeypatch.setenv("REPRO_SOA_LANES", "16")
         length = lengths(algorithm)[-1]
         messages = messages_for(algorithm, 17)
@@ -233,8 +233,14 @@ class TestKernelCallBound:
         finally:
             metrics.disarm()
         registry = metrics.registry()
-        assert registry.get("sim_soa_kernel_calls_total").value(
-            lanes=str(codegen.soa_width())) == calls
+        rate = 136
+        width, planned = codegen.soa_sponge_plan(
+            [len(m) for m in messages], rate, 300)
+        assert planned == calls
+        by_width = {series["labels"]["lanes"]: series["value"]
+                    for series in registry.get(
+                        "sim_soa_kernel_calls_total").snapshot()["series"]}
+        assert by_width == {str(width): calls}
         [series] = registry.get("sim_soa_lane_occupancy") \
             .snapshot()["series"]
         assert series["value"]["count"] == calls
